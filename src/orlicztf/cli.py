@@ -113,6 +113,9 @@ def parse_space(spec: str) -> ModulationSpaceSpec:
             takes_arg = kind in ("power", "power_scaled", "cap") or kind == "conjugate"
             if kind == "conjugate":
                 # conjugate consumes the rest of one slot: conjugate:kind[:param]
+                if i + 1 == len(parts):
+                    raise argparse.ArgumentTypeError(
+                        f"space spec {spec!r}: 'conjugate' needs a Young spec after it")
                 nxt = parts[i + 1]
                 inner_takes = nxt in ("power", "power_scaled", "cap")
                 width = 3 if (inner_takes and i + 2 < len(parts)) else 2
@@ -180,14 +183,15 @@ def _row(name, value, tolerance=None, ok=True) -> dict:
 
 
 def _jsonable(x):
+    """Plain JSON values; non-finite floats become "inf", "-inf" or "nan"."""
     if isinstance(x, (np.floating, np.integer)):
-        return float(x)
+        x = float(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+        return {"re": _jsonable(x.real), "im": _jsonable(x.imag)}
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        return _jsonable(x.tolist())
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -226,8 +230,11 @@ def cmd_young(args) -> list:
         conj = phi.conjugate()
         rows = [_row("conjugate_value", conj.evaluate(args.at))]
         if args.kind == "log_example":
-            s = math.sqrt(0.25 + args.at)
-            closed = (args.at + 0.5 - s) * math.exp(-(0.5 + s) / args.at)
+            # Phi*(t) = 0 for t <= 0, the t -> 0 limit of the closed form
+            closed = 0.0
+            if args.at > 0:
+                s = math.sqrt(0.25 + args.at)
+                closed = (args.at + 0.5 - s) * math.exp(-(0.5 + s) / args.at)
             num = rows[0]["value"]
             err = abs(num - closed) / closed if closed > 0 else abs(num - closed)
             rows.append(_row("closed_form_rel_error", err, args.tol or 1e-6,
@@ -535,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -551,7 +558,7 @@ def main(argv=None) -> int:
         "command": args.command + " " + getattr(args, "action", ""),
         "config": config,
         "results": rows,
-        "timing_ms": round((time.time() - t0) * 1000.0, 3),
+        "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
     _emit(report, args.format, args.out, data_written)
     return 0 if all(r["pass"] for r in rows) else 1

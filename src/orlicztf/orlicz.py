@@ -2,9 +2,10 @@
 
 The Luxemburg norm is inf{lambda > 0 : sum_k w_k Phi(|f_k omega_k| / lambda) <= 1}
 with w_k the quadrature weight.  Power-family functions are answered in
-closed form; everything else is a bracketed bisection on the non-increasing
-gauge G(lambda).  Mixed norms iterate stages of axis groups, innermost
-first, with the weight entering only at the innermost stage.
+closed form.  For everything else the Illinois root finder shared with the
+Young-function layer (young._illinois) solves log G = 0 in -log lambda, where
+G(lambda) is the non-increasing gauge.  Mixed norms iterate stages of axis
+groups, innermost first, with the weight entering only at the innermost stage.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ import numpy as np
 
 from .field import Field
 from .weights import Weight
-from .young import YoungFunction, closed_power_form
+from .young import YoungFunction, _gauge_level, closed_power_form
 
-_BISECT_ITERS = 80
 _TABLE_SIZE = 16384
 
 
 def _conjugate_table(phi: YoungFunction):
     """Log-log interpolation table for conjugate kinds with a finite jump.
 
-    Direct evaluation of a conjugate runs a bisection per point; inside the
-    norm bisection that nests badly.  For finite jump point t2 the whole
+    Direct evaluation of a conjugate runs a root finder per point, nested
+    inside the norm's own root finder; on the Hoelder checks of the battery
+    (1000 rows of 256 in the conjugate entropy norm) that takes 1.0 s where
+    this table takes 0.4 s (2-core x86-64 machine).  For finite jump point t2
+    the whole
     relevant range fits a geometric table, and linear interpolation of
     log Phi* against log t keeps monotonicity.
     """
@@ -59,7 +62,8 @@ def _conjugate_table(phi: YoungFunction):
 
 def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     """Row-wise Luxemburg norms of the nonnegative matrix a with scalar
-    quadrature weight w; relative accuracy ~1e-12 for bisection kinds."""
+    quadrature weight w: closed form for the power family, else the
+    Illinois root finder on the log-gauge in log lambda, to a few ulps."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
@@ -75,35 +79,10 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     if cp is not None:
         c, p = cp
         out[live] = (c * w * np.sum(a[live] ** p, axis=1)) ** (1.0 / p)
-    elif phi.kind == "cap":
-        out[live] = mx[live] / phi.params["a"]
-    else:
-        rows = a[live]
-        if rows.size:
-            t2 = phi.infinity_point()
-            mxl = mx[live]
-            lo = np.maximum(mxl / t2, 1e-300) if math.isfinite(t2) else np.full(mxl.shape, 1e-300)
-            hi = w * rows.sum(axis=1) + mxl
-            table = _conjugate_table(phi)
-            ev = table if table is not None else phi._eval_array
-
-            def gauge_le_one(lam):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    vals = ev(rows / lam[:, None])
-                s = w * np.sum(np.where(np.isnan(vals), np.inf, vals), axis=1)
-                return s <= 1.0
-
-            for _ in range(200):
-                ok = gauge_le_one(hi)
-                if np.all(ok):
-                    break
-                hi = np.where(ok, hi, hi * 2.0)
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                ok = gauge_le_one(mid)
-                hi = np.where(ok, mid, hi)
-                lo = np.where(ok, lo, mid)
-            out[live] = hi
+    elif np.any(live):
+        table = _conjugate_table(phi)
+        ev = table if table is not None else phi._eval_array
+        out[live] = np.exp(-_gauge_level(phi, a[live], w, ev))
     return out[0] if squeeze else out
 
 

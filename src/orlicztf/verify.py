@@ -57,7 +57,7 @@ def _record(name, value, tolerance, passed, t0, **details) -> dict:
         "value": value,
         "tolerance": tolerance,
         "passed": bool(passed),
-        "timing_ms": round((time.time() - t0) * 1000.0, 3),
+        "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         "details": details,
     }
 
@@ -68,7 +68,7 @@ def _record(name, value, tolerance, passed, t0, **details) -> dict:
 def moyal_isometry(n: int = 256, half_extent: float = 12.0, trials: int = 100,
                    seed: int = 42, tol: float = 1e-8) -> dict:
     """|V_phi f|_2 equals |f|_2 |phi|_2 for random fields, Gaussian window."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     phi = _gaussian_window(g)
     rng = np.random.default_rng(seed)
@@ -87,7 +87,7 @@ def moyal_isometry(n: int = 256, half_extent: float = 12.0, trials: int = 100,
 def gaussian_stft_closed_form(n: int = 256, half_extent: float = 12.0,
                               tol: float = 1e-8) -> dict:
     """STFT of the unit Gaussian against its closed form."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     phi = _gaussian_window(g)
     V = stft(phi, phi)
@@ -108,7 +108,7 @@ def stft_inversion_projection(n: int = 256, half_extent: float = 12.0,
                               tol: float = 1e-8) -> dict:
     """Adjoint inversion of the STFT and idempotence of the range projection
     (the projection is applied, never formed as a matrix)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     phi = _gaussian_window(g)
     scale = l2_norm(phi) ** -2
@@ -140,7 +140,7 @@ def twisted_reproducing(n: int = 64, half_extent: float = 8.0,
                         trials: int = 3, seed: int = 42,
                         tol: float = 1e-6) -> dict:
     """V_phi f twisted-convolved with V_phi phi reproduces |phi|^2 V_phi f."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     phi = _gaussian_window(g)
     Vphi = stft(phi, phi)
@@ -186,7 +186,7 @@ YOUNG_TRIPLES = (
 def holder_inequality(trials: int = 1000, seed: int = 42,
                       bound: float = 2.0) -> dict:
     """Product-norm inequality across the standard function triples."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     per = {}
     worst = 0.0
     ok = True
@@ -202,7 +202,7 @@ def holder_inequality(trials: int = 1000, seed: int = 42,
 def young_convolution_inequality(trials: int = 1000, seed: int = 42,
                                  bound: float = 2.0) -> dict:
     """Convolution-norm inequality across the standard function triples."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     per = {}
     worst = 0.0
     ok = True
@@ -219,7 +219,7 @@ def young_convolution_inequality(trials: int = 1000, seed: int = 42,
 def holder_young_inequalities(trials: int = 1000, seed: int = 42,
                               bound: float = 2.0) -> dict:
     """Both norm inequalities, reported as one criterion."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     h = holder_inequality(trials=trials, seed=seed, bound=bound)
     y = young_convolution_inequality(trials=trials, seed=seed, bound=bound)
     worst = max(h["value"], y["value"])
@@ -248,7 +248,7 @@ _BUILTINS = (
 def conjugate_closed_forms(tol: float = 1e-6) -> dict:
     """Numeric Legendre transform of the logarithmic example against its
     closed form on [1e-3, 1e-1], and double conjugation on every built-in."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     conj = YoungFunction.log_example().conjugate()
     ts = np.geomspace(1e-3, 1e-1, 40)
     root = np.sqrt(0.25 + ts)
@@ -288,7 +288,7 @@ def rank_one_duality(n: int = 128, half_extent: float = 10.0, seed: int = 42,
                      tol_rank_one: float = 1e-6, tol_duality: float = 1e-7) -> dict:
     """Quadratic-representation symbols act as rank-one operators, and the
     operator pairing matches the symbol pairing, for A in {0, I/2, I}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     f1 = make_gaussian_mix(g, seed + 10)
     f2 = make_gaussian_mix(g, seed + 11)
@@ -324,7 +324,7 @@ def calculi_transfer(n: int = 256, half_extent: float = 12.0, seed: int = 42,
     the endpoint calculi and the matching transfer of quadratic
     representations.  The transfer check runs on a wider grid so that the
     random signals' correlation lags stay far from the periodic boundary."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     pg = phase_grid(g)
     a = make_gaussian_mix(pg, seed + 20)
@@ -358,7 +358,7 @@ def calculi_transfer(n: int = 256, half_extent: float = 12.0, seed: int = 42,
 def entropy_lambda_scan(tol_diff: float = 1e-5, tol_spread: float = 1e-4) -> dict:
     """Entropy of the Gaussian family: E(4)-E(1) = log(5/4), and the fitted
     additive constant is flat across two octaves each way."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lambdas = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
     scan = gaussian_family_scan(lambdas)
     by_lam = {r["lam"]: r["entropy"] for r in scan["rows"]}
@@ -382,7 +382,7 @@ def entropy_lower_bound(n: int = 256, half_extent: float = 12.0,
                         slack: float = 1e-6) -> dict:
     """Normalized random and Hermite signals all satisfy the entropy lower
     bound d(1 + log(pi/2))."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     threshold = 1.45158 - slack
     lowest = math.inf
@@ -414,7 +414,7 @@ def entropy_discontinuity(n: int = 256, half_extent: float = 12.0,
     """The Gaussian family keeps unit flat-quadratic norm while its entropy
     grows by more than the threshold, and its entropy-space norm strictly
     increases — the witness separating the two topologies."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     rows = lambda_family_table([1.0, 4.0, 16.0, 64.0], grid=g)
     e_gap = rows[-1]["entropy"] - rows[0]["entropy"]
@@ -456,7 +456,7 @@ def hypothesis_checkers(count: int = 20, seed: int = 42) -> dict:
     """The worked continuity example passes every hypothesis, and for random
     power quadruples the checker verdict coincides exactly with direct
     exponent arithmetic."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ent = YoungFunction.entropy()
     example = check_pseudo_hypotheses(3.0, 1.5, ent, ent, ent, ent)
     failed_conditions = [
@@ -516,7 +516,7 @@ def opnorm_ratio_stability(count: int = 10, trials: int = 4, seed: int = 42,
                            half_extent: float = 12.0) -> dict:
     """Empirical operator-norm to symbol-norm ratios change by at most a
     bounded factor when the grid is refined from N=128 to N=256."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cont, wiener = _opnorm_configs()
     worst = 0.0
     rows = []
@@ -546,7 +546,7 @@ def opnorm_ratio_stability(count: int = 10, trials: int = 4, seed: int = 42,
 def embedding_lattice(p: float = 1.5) -> dict:
     """The entropy-function space sits between the p-power space (p < 2)
     and the quadratic space, and neither inclusion reverses."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ent = YoungFunction.entropy()
     p2 = YoungFunction.power(2)
     pp = YoungFunction.power(p)

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from orlicztf import cli
@@ -33,6 +34,33 @@ def test_young_conjugate_closed_form_row(capsys):
     assert row["pass"] and row["value"] < 1e-6 and row["tolerance"] == 1e-6
 
 
+def test_young_conjugate_at_zero(capsys):
+    code, rep = run(capsys, ["young", "conjugate", "--kind", "log_example",
+                             "--at", "0"])
+    assert code == 0
+    rows = {r["name"]: r for r in rep["results"]}
+    assert rows["conjugate_value"]["value"] == 0.0
+    assert rows["closed_form_rel_error"]["value"] == 0.0
+    assert rows["closed_form_rel_error"]["pass"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_values_are_strict_json(capsys):
+    code = cli.main(["young", "evaluate", "--kind", "power:2", "--at", "nan"])
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 0
+    assert rep["results"][0]["value"] == "nan"
+    assert rep["config"]["at"] == "nan"
+    values = [np.float64("inf"), -np.float64("inf"), np.float64("nan"),
+              float("nan"), np.array([1.0, np.inf]), complex(np.inf, 1.0)]
+    text = json.dumps(cli._jsonable(values))
+    assert json.loads(text, parse_constant=_reject_constant) == [
+        "inf", "-inf", "nan", "nan", [1.0, "inf"], {"re": "inf", "im": 1.0}]
+
+
 def test_reports_deterministic_modulo_timing(capsys):
     argv = ["norm", "luxemburg", "--input", "mix:3", "--young", "power:2",
             "--N", "64", "--L", "8"]
@@ -57,6 +85,11 @@ def test_usage_errors_exit_two(capsys):
                   "--N", "64", "--L", "8"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm", "modulation", "--input", "gaussian:1",
+                  "--space", "m:conjugate", "--N", "64", "--L", "8"])
+    assert exc.value.code == 2
+    assert "conjugate" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_one(capsys):

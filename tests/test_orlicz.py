@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import orlicztf as o
 from conftest import noise_field
-from orlicztf import MixedNormSpec, Weight, YoungFunction
+from orlicztf import MixedNormSpec, Weight, YoungFunction, orlicz, young
 
 
 def test_power2_luxemburg_is_l2(grid128):
@@ -100,3 +100,104 @@ def test_cap_norm_is_scaled_sup(grid64):
     got = o.luxemburg_norm(f, YoungFunction.cap(1.0))
     ref = np.max(np.abs(f.values))
     assert abs(got - ref) < 1e-8 * ref
+
+
+# -- the root finder against the fixed-count bisection it replaced ------------
+
+def _luxemburg_by_bisection(a, w, phi):
+    """Row-wise Luxemburg norms by bracket doubling and 80 bisection steps
+    on lambda, evaluating Phi the same way the norm code does."""
+    a = np.asarray(a, dtype=float)
+    out = np.zeros(a.shape[0])
+    mx = a.max(axis=1)
+    live = mx > 0
+    rows = a[live]
+    t2 = phi.infinity_point()
+    mxl = mx[live]
+    lo = np.maximum(mxl / t2, 1e-300) if np.isfinite(t2) \
+        else np.full(mxl.shape, 1e-300)
+    hi = w * rows.sum(axis=1) + mxl
+    table = orlicz._conjugate_table(phi)
+    ev = table if table is not None else phi._eval_array
+
+    def gauge_le_one(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = ev(rows / lam[:, None])
+        return w * np.sum(np.where(np.isnan(vals), np.inf, vals), axis=1) <= 1.0
+
+    for _ in range(200):
+        ok = gauge_le_one(hi)
+        if np.all(ok):
+            break
+        hi = np.where(ok, hi, hi * 2.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        ok = gauge_le_one(mid)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    out[live] = hi
+    return out
+
+
+TABLE_FINITE = YoungFunction.table([(0, 0), (1, 0.5), (2, 2), (3, 5)], tail_slope=4.0)
+TABLE_INFINITE = YoungFunction.table([(0, 0), (1, 0), (2, 1), (3, 5)])
+_BASES = {
+    "power2": YoungFunction.power(2),
+    "power_scaled1.5": YoungFunction.power_scaled(1.5),
+    "power0.5": YoungFunction.power(0.5),
+    "cap2": YoungFunction.cap(2.0),
+    "entropy": YoungFunction.entropy(),
+    "tan_example": YoungFunction.tan_example(),
+    "log_example": YoungFunction.log_example(),
+    "table_finite_tail": TABLE_FINITE,
+    "table_infinite_tail": TABLE_INFINITE,
+}
+NORM_KINDS = dict(_BASES)
+NORM_KINDS.update({"conjugate:" + k: phi.conjugate() for k, phi in _BASES.items()
+                   if phi.quasi_order == 1.0})
+# quasi-Young of order 1/2 outside the power family: the solver's slope bound
+NORM_KINDS["log_example_order_0.5"] = YoungFunction("log_example", quasi_order=0.5)
+
+
+def _oracle_rows(scale):
+    rng = np.random.default_rng(11)
+    rows = np.abs(rng.standard_normal((5, 24)) + 1j * rng.standard_normal((5, 24)))
+    rows[0] = 0.0
+    rows[1] = 0.0
+    rows[1, 7] = 1.0
+    return scale * rows
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("name", sorted(NORM_KINDS))
+def test_luxemburg_matches_bisection(name, scale):
+    phi = NORM_KINDS[name]
+    rows = _oracle_rows(scale)
+    got = orlicz._luxemburg_batch(rows, 0.4, phi)
+    want = _luxemburg_by_bisection(rows, 0.4, phi)
+    assert got[0] == want[0] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+def test_entropy_batch_gauge_evaluations(monkeypatch):
+    calls = []
+    original = YoungFunction._eval_array
+
+    def counted(self, t):
+        calls.append(t.shape)
+        return original(self, t)
+
+    monkeypatch.setattr(YoungFunction, "_eval_array", counted)
+    rng = np.random.default_rng(5)
+    rows = np.abs(rng.standard_normal((400, 256)) + 1j * rng.standard_normal((400, 256)))
+    for scale in (1e-3, 1.0, 1e3):
+        calls.clear()
+        orlicz._luxemburg_batch(scale * rows, 12.0 / 128, YoungFunction.entropy())
+        assert 0 < len(calls) <= 30
+
+
+def test_root_finder_raises_at_its_cap(monkeypatch):
+    monkeypatch.setattr(young, "_MAX_STEPS", 3)
+    rows = np.abs(np.random.default_rng(6).standard_normal((4, 32)))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        orlicz._luxemburg_batch(rows, 0.25, YoungFunction.entropy())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlicztf import YoungFunction, check_delta2, check_p_steered, closed_power_form
+from orlicztf.young import _conjugate_argmax
 
 BUILTINS = {
     "power2": YoungFunction.power(2),
@@ -139,3 +140,103 @@ def test_landmark_points():
     assert cap.infinity_point() == 1.0
     assert math.isinf(YoungFunction.power(2).infinity_point())
     assert YoungFunction.power(2).zero_point() == 0.0
+
+
+# -- the root finder against the fixed-count bisections it replaced -----------
+
+def _argmax_by_bisection(base, t):
+    """argmax_s (s t - Phi(s)) by 140 bisection steps in -log s."""
+    t2 = base.infinity_point()
+    if math.isfinite(t2):
+        s_hi = np.nextafter(t2, 0.0)
+    else:
+        s_hi = 1.0
+        while base.derivative(s_hi) < np.max(t):
+            s_hi *= 2.0
+    u_lo = np.full(t.shape, -math.log(s_hi))
+    u_hi = np.full(t.shape, 740.0)
+    for _ in range(140):
+        mid = 0.5 * (u_lo + u_hi)
+        big = base._deriv_array(np.exp(-mid)) > t
+        u_lo = np.where(big, mid, u_lo)
+        u_hi = np.where(big, u_hi, mid)
+    return np.exp(-0.5 * (u_lo + u_hi))
+
+
+def _inverse_by_bisection(phi, s):
+    """sup{t : Phi(t) <= s} by 120 geometric bisection steps."""
+    hi = phi.infinity_point()
+    if not math.isfinite(hi):
+        hi = 1.0
+        while phi.evaluate(hi) <= np.max(s):
+            hi *= 2.0
+    lo_a = np.full(s.shape, 1e-300)
+    hi_a = np.full(s.shape, np.nextafter(hi, 0.0))
+    for _ in range(120):
+        mid = np.sqrt(lo_a * hi_a)
+        le = phi._eval_array(mid) <= s
+        lo_a = np.where(le, mid, lo_a)
+        hi_a = np.where(le, hi_a, mid)
+    return lo_a
+
+
+TABLES = {
+    "table_finite_tail": YoungFunction.table(
+        [(0, 0), (1, 0.5), (2, 2), (3, 5)], tail_slope=4.0),
+    "table_infinite_tail": YoungFunction.table([(0, 0), (1, 0), (2, 1), (3, 5)]),
+}
+BASES = {**BUILTINS, **TABLES}
+WITH_CONJUGATES = {**BASES, "power0.5": YoungFunction.power(0.5)}
+WITH_CONJUGATES.update({"conjugate:" + k: phi.conjugate() for k, phi in BASES.items()})
+# the conjugate of a table has a step-function derivative, run by the solver
+ARGMAX_BASES = {**BASES, "conjugate:table_finite_tail":
+                TABLES["table_finite_tail"].conjugate()}
+
+
+def _rel(got, want):
+    return np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
+
+
+@pytest.mark.parametrize("name", sorted(ARGMAX_BASES))
+def test_argmax_matches_bisection(name):
+    base = ARGMAX_BASES[name]
+    top = min(50.0, 0.99 * base.sup_slope())
+    t = np.geomspace(1e-3, top, 37)
+    got = _conjugate_argmax(base, t)
+    want = _argmax_by_bisection(base, t)
+    assert np.max(_rel(got, want)) <= 1e-10
+    conj = base.conjugate()
+    if conj.kind == "conjugate" and base.kind != "cap":
+        vals = np.maximum(want * t - base._eval_array(want), 0.0)
+        assert np.max(_rel(conj._eval_array(t), vals)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(k for k, phi in WITH_CONJUGATES.items()
+                                         if phi.sup_value() > 0))
+def test_essential_inverse_matches_bisection(name):
+    phi = WITH_CONJUGATES[name]
+    s0 = phi.sup_value()
+    s = np.geomspace(1e-3, 1e3, 31)
+    s = s[s < s0]
+    got = phi.essential_inverse(s)
+    want = _inverse_by_bisection(phi, s)
+    assert np.max(_rel(got, want)) <= 1e-10
+
+
+def test_essential_inverse_landmarks():
+    tan, cap = YoungFunction.tan_example(), YoungFunction.cap(2.0)
+    s = np.array([0.0, 1.0, math.inf, math.nan])
+    got = tan.essential_inverse(s)
+    assert got[0] == 0.0 and got[2] == math.pi / 2 and math.isnan(got[3])
+    assert abs(got[1] - math.pi / 4) < 1e-15
+    assert list(cap.essential_inverse(s[:3])) == [0.0, 2.0, 2.0]
+
+
+def test_argmax_at_table_slopes_is_the_far_knot():
+    """sup{s : Phi'(s) <= t} when t equals a slope of the table, or sits one
+    ulp below the tail slope, where log Phi' - log t rounds to zero."""
+    base = TABLES["table_finite_tail"]
+    t = np.array([0.5, 1.5, 3.0, np.nextafter(4.0, 0.0)])
+    got = _conjugate_argmax(base, t)
+    assert np.max(np.abs(got - [1.0, 2.0, 3.0, 3.0])) <= 1e-14
+    assert np.all(_rel(got, _argmax_by_bisection(base, t)) <= 1e-10)
