@@ -457,6 +457,14 @@ def cmd_verify(args) -> list:
 # -- argument tree ---------------------------------------------------------------
 
 
+def _nonnegative(text: str) -> float:
+    """A float argument in [0, inf]; nan passes through and is reported."""
+    x = float(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="orlicztf",
@@ -481,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("young", parents=[common], help="Young-function calculus")
     p.add_argument("action", choices=("evaluate", "conjugate", "inverse", "classify"))
     p.add_argument("--kind", required=True, help="e.g. power:2, entropy, log_example")
-    p.add_argument("--at", type=float, default=1.0)
+    p.add_argument("--at", type=_nonnegative, default=1.0)
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--steer", type=float, default=2.0)
     p.set_defaults(handler=lambda a: (cmd_young(a), False))

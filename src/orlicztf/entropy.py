@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .field import (
     l2_norm,
     make_gaussian,
     make_grid,
-    worker_count,
 )
 from .modspace import ModulationSpaceSpec, modulation_norm
 from .tfa import stft
@@ -108,12 +106,7 @@ def gaussian_family_scan(lambdas, window: Field | None = None,
         return {"lam": lam, "entropy": e, "log_term": log_term,
                 "constant": (e - log_term) / d}
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(one, lambdas))
-    else:
-        rows = [one(lam) for lam in lambdas]
+    rows = [one(lam) for lam in lambdas]
     consts = [r["constant"] for r in rows]
     return {
         "rows": rows,

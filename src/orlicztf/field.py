@@ -12,19 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def worker_count() -> int:
-    """Worker cap for parallel sweeps, from ORLICZ_TF_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ORLICZ_TF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,16 @@ transfer, and empirical operator-norm estimation.
 
 The kernel is K(x, y) = (2pi)^(-d/2) (F2^{-1} a)(x - A(x - y), x - y): a
 partial inverse Fourier transform in the frequency slot followed by a shear.
-On the grid the shear is exact index arithmetic for A in {0, I}, an exact
-half-grid interpolation for A = I/2, and spectral evaluation for general
-t I.  All coordinates entering phases or interpolation are taken as values
-on the centered lattice, which keeps periodic wraparound consistent.
+On the grid every A = tI takes the same path: each column z of the partial
+transform is shifted by -t z along the x slot (one FFT phase ramp, see
+tfa._shifted), and the kernel gathers K(x, y) from column z = x - y.  The
+difference x - y is taken as its representative on the centered lattice,
+which keeps periodic wraparound consistent.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +21,13 @@ from .field import (
     Axis,
     Field,
     Grid,
-    fourier_transform,
     inverse_fourier_transform,
     l2_norm,
     make_gaussian_mix,
     phase_grid,
-    worker_count,
 )
 from .modspace import ModulationSpaceSpec, modulation_norm
-from .tfa import QuantizationMatrix, _split_phase, _upsample2, as_quantization, quantization_change
+from .tfa import QuantizationMatrix, _shifted, _split_phase, as_quantization, quantization_change
 from .young import closed_power_form
 
 
@@ -54,41 +52,13 @@ def kernel(a: Field, A) -> KernelMatrix:
     if d != 1:
         raise ValueError("kernels are implemented for a 1-d base grid")
     n = base.axes[0].n
-    dx = base.axes[0].spacing
-    t = A.t
-    c = (2.0 * math.pi) ** -0.5
-
+    z = base.axes[0].points
     b = inverse_fourier_transform(a, axes=(1,)).values  # b[j, z-index]
+    S = _shifted(b, -A.t * z, base.axes[0].spacing)  # S[j, l] = b(x_j - t z_l, z_l)
     j = np.arange(n)[:, None]
     m = np.arange(n)[None, :]
-    zidx = (j - m + n // 2) % n
-
-    if t == 0.0:
-        K = b[np.broadcast_to(j, (n, n)), zidx]
-    elif t == 1.0:
-        K = b[np.broadcast_to(m, (n, n)), zidx]
-    elif t == 0.5:
-        bf = np.apply_along_axis(_upsample2, 0, b)
-        # When x - y leaves [-L, L) its lattice representative differs by a
-        # full period, which shifts the midpoint (x + y)/2 by half a period
-        # on the fine lattice; the extra n keeps the two slots paired.
-        wrap = ((j - m + n // 2) < 0) | ((j - m + n // 2) >= n)
-        K = bf[(j + m + n * wrap) % (2 * n), zidx]
-    else:
-        # evaluate b(x_j - t z, z) spectrally along the x slot, one z column
-        # (one kernel diagonal) at a time
-        bhat = fourier_transform(Field(Grid((base.axes[0], base.axes[0])), b), axes=(0,))
-        xi = bhat.grid.axes[0].points
-        scale = bhat.grid.axes[0].spacing / math.sqrt(2.0 * math.pi)
-        x = base.axes[0].points
-        K = np.empty((n, n), dtype=complex)
-        rows = np.arange(n)
-        for col in range(n):
-            zc = (col - n // 2) * dx
-            s = x - t * zc
-            vals = (np.exp(1j * np.outer(s, xi)) @ bhat.values[:, col]) * scale
-            K[rows, (rows - col + n // 2) % n] = vals
-    return KernelMatrix(base, A, c * K)
+    K = S[j, (j - m + n // 2) % n]
+    return KernelMatrix(base, A, (2.0 * math.pi) ** -0.5 * K)
 
 
 def apply(a: Field, A, f: Field) -> Field:
@@ -175,13 +145,7 @@ def estimate_operator_norm(a: Field, A, domain: ModulationSpaceSpec,
             g = K.apply_to(f)
             return modulation_norm(g, codomain) / nd
 
-        workers = worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                vals = list(ex.map(trial, range(trials)))
-        else:
-            vals = [trial(i) for i in range(trials)]
-        lower = float(max(vals))
+        lower = float(max(trial(i) for i in range(trials)))
         method = "random_search"
 
     out = {

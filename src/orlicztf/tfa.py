@@ -4,10 +4,12 @@ convolution, parameterized Wigner distributions, quantization change.
 Conventions: V_phi f(x, xi) = (2pi)^(-d/2) integral f(y) conj(phi(y - x))
 exp(-i<y, xi>) dy, realized on the grid with periodic window translates.
 The Wigner family W^A with A = tI evaluates f1(x + t y) conj(f2(x + (t-1) y))
-and transforms in y; off-grid arguments use trigonometric interpolation
-(exact half-shift upsampling at t = 1/2, spectral evaluation otherwise).
-All phases are computed from coordinate values, not indices, which keeps
-them consistent under periodic wraparound.
+and transforms in y.  Every t takes the same path: the samples are shifted
+by trigonometric interpolation, one FFT, a phase ramp per shift and one
+inverse FFT, with the Nyquist bin split symmetrically so that lattice shifts
+are exact rolls and real data stays real.  All phases are computed from
+coordinate values, not indices, which keeps them consistent under periodic
+wraparound.
 """
 
 from __future__ import annotations
@@ -37,35 +39,6 @@ class QuantizationMatrix:
     def __post_init__(self):
         if not (0.0 <= self.t <= 1.0):
             raise ValueError("quantization parameter must lie in [0, 1]")
-
-    @staticmethod
-    def zero() -> "QuantizationMatrix":
-        return QuantizationMatrix(0.0)
-
-    @staticmethod
-    def half_identity() -> "QuantizationMatrix":
-        return QuantizationMatrix(0.5)
-
-    @staticmethod
-    def identity() -> "QuantizationMatrix":
-        return QuantizationMatrix(1.0)
-
-    @staticmethod
-    def t_identity(t: float) -> "QuantizationMatrix":
-        return QuantizationMatrix(float(t))
-
-    @property
-    def form(self) -> str:
-        if self.t == 0.0:
-            return "zero"
-        if self.t == 0.5:
-            return "half_identity"
-        if self.t == 1.0:
-            return "identity"
-        return "t_identity"
-
-    def matrix(self, d: int) -> np.ndarray:
-        return self.t * np.eye(d)
 
 
 def as_quantization(a) -> QuantizationMatrix:
@@ -163,34 +136,18 @@ def twisted_convolution(F: Field, G: Field) -> Field:
     return Field(F.grid, out * c)
 
 
-def _upsample2(vals: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation onto the doubled grid (spacing halved),
-    splitting the Nyquist bin so real inputs stay real."""
-    n = vals.shape[0]
-    F = np.fft.fft(np.fft.ifftshift(vals))
-    G = np.zeros(2 * n, dtype=complex)
-    G[: n // 2] = F[: n // 2]
-    G[-(n // 2) + 1 :] = F[n // 2 + 1 :]
-    G[n // 2] = 0.5 * F[n // 2]
-    G[2 * n - n // 2] = 0.5 * F[n // 2]
-    return np.fft.fftshift(np.fft.ifft(G) * 2.0)
-
-
-def _eval_shifted(f: Field, c: float) -> np.ndarray:
-    """E[j, l] = f(x_j + c * x_l) by spectral evaluation (periodic)."""
-    n = f.grid.axes[0].n
-    x = f.grid.axes[0].points
-    fhat = fourier_transform(f)
-    xi = fhat.grid.axes[0].points
-    scale = fhat.grid.axes[0].spacing / math.sqrt(2.0 * math.pi)
-    if c == 0.0:
-        col = (np.exp(1j * np.outer(x, xi)) @ fhat.values) * scale
-        return np.repeat(col[:, None], n, axis=1)
-    out = np.empty((n, n), dtype=complex)
-    for l in range(n):
-        s = x + c * x[l]
-        out[:, l] = (np.exp(1j * np.outer(s, xi)) @ fhat.values) * scale
-    return out
+def _shifted(values: np.ndarray, shifts: np.ndarray, spacing: float) -> np.ndarray:
+    """E[j, l] = v_l(x_j + shifts[l]) by trigonometric interpolation along
+    axis 0, where v_l is the 1-d values or its column l (periodic, O(n^2 log n)).
+    The Nyquist bin is split evenly between +n/2 and -n/2, so its ramp is
+    cos(pi s / spacing): lattice shifts are exact and real data stays real."""
+    n = values.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ramp = np.multiply.outer(1j * k, shifts * (2.0 * math.pi / (n * spacing)))
+    np.exp(ramp, out=ramp)
+    ramp[n // 2] = np.cos(shifts * (math.pi / spacing))
+    ramp *= np.fft.fft(values, axis=0).reshape(n, -1)
+    return np.fft.ifft(ramp, axis=0)
 
 
 def wigner(f1: Field, f2: Field, A=0.5) -> Field:
@@ -202,24 +159,11 @@ def wigner(f1: Field, f2: Field, A=0.5) -> Field:
     if f1.grid.dimension != 1:
         raise ValueError("wigner transform is implemented for a 1-d base grid")
     t = A.t
-    n = f1.grid.axes[0].n
-    j = np.arange(n)[:, None]
-    l = np.arange(n)[None, :]
-    v1 = f1.values
-    v2 = f2.values
-    if t == 0.0:
-        prod = v1[:, None] * np.conj(v2[(j - (l - n // 2)) % n])
-    elif t == 1.0:
-        prod = v1[(j + l - n // 2) % n] * np.conj(v2[:, None])
-    elif t == 0.5:
-        u1 = _upsample2(v1)
-        u2 = _upsample2(v2)
-        p1 = (2 * j + l - n // 2) % (2 * n)
-        p2 = (2 * j - l + n // 2) % (2 * n)
-        prod = u1[p1] * np.conj(u2[p2])
-    else:
-        prod = _eval_shifted(f1, t) * np.conj(_eval_shifted(f2, t - 1.0))
-    scale = f1.grid.axes[0].spacing / math.sqrt(2.0 * math.pi)
+    dx = f1.grid.axes[0].spacing
+    y = f1.grid.axes[0].points
+    prod = _shifted(f1.values, t * y, dx)
+    prod *= np.conj(_shifted(f2.values, (t - 1.0) * y, dx))
+    scale = dx / math.sqrt(2.0 * math.pi)
     vals = _centered_fft(prod, (1,), inverse=False) * scale
     return Field(phase_grid(f1.grid), vals)
 

@@ -35,3 +35,16 @@ def noise_field(grid, seed):
 
 def unit(f):
     return o.Field(f.grid, f.values / o.l2_norm(f))
+
+
+def upsample2(vals):
+    """Test oracle: trigonometric interpolation onto the doubled grid
+    (spacing halved), splitting the Nyquist bin so real inputs stay real."""
+    n = vals.shape[0]
+    F = np.fft.fft(np.fft.ifftshift(vals))
+    G = np.zeros(2 * n, dtype=complex)
+    G[: n // 2] = F[: n // 2]
+    G[-(n // 2) + 1 :] = F[n // 2 + 1 :]
+    G[n // 2] = 0.5 * F[n // 2]
+    G[2 * n - n // 2] = 0.5 * F[n // 2]
+    return np.fft.fftshift(np.fft.ifft(G) * 2.0)

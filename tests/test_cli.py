@@ -90,6 +90,14 @@ def test_usage_errors_exit_two(capsys):
                   "--space", "m:conjugate", "--N", "64", "--L", "8"])
     assert exc.value.code == 2
     assert "conjugate" in capsys.readouterr().err
+    for action, kind in (("evaluate", "entropy"), ("conjugate", "log_example"),
+                         ("inverse", "power:2"), ("evaluate", "power:2")):
+        for at in (["--at", "-1"], ["--at=-1e-3"], ["--at=-inf"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["young", action, "--kind", kind] + at)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err and "must be >= 0" in err
 
 
 def test_numerical_failure_exits_one(capsys):

@@ -116,10 +116,3 @@ def test_save_load_phase_field(tmp_path, grid64, fmt):
 def test_grid_mismatch_raises(grid64, grid128):
     with pytest.raises(ValueError):
         o.inner_product(noise_field(grid64, 0), noise_field(grid128, 0))
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("ORLICZ_TF_THREADS", raising=False)
-    assert o.worker_count() == 1
-    monkeypatch.setenv("ORLICZ_TF_THREADS", "4")
-    assert o.worker_count() == 4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import orlicztf as o
-from conftest import noise_field
+from conftest import noise_field, upsample2
 from orlicztf import ModulationSpaceSpec, YoungFunction
 
 
@@ -167,3 +167,48 @@ def test_operator_norm_reports_symbol_ratio(grid64):
     assert r["symbol_norm"] > 0
     assert abs(r["ratio_to_symbol_norm"] - r["lower_bound"] / r["symbol_norm"]) \
         < 1e-12
+
+
+def lattice_kernel(a, t):
+    """Test oracle: the index-gather (t = 0, 1) and half-grid upsampling
+    (t = 1/2) kernel, with explicit bookkeeping for x - y leaving [-L, L)."""
+    n = a.grid.axes[0].n
+    b = o.inverse_fourier_transform(a, axes=(1,)).values
+    j = np.arange(n)[:, None]
+    m = np.arange(n)[None, :]
+    zidx = (j - m + n // 2) % n
+    if t == 0.0:
+        K = b[np.broadcast_to(j, (n, n)), zidx]
+    elif t == 1.0:
+        K = b[np.broadcast_to(m, (n, n)), zidx]
+    else:
+        bf = np.apply_along_axis(upsample2, 0, b)
+        # a full-period jump of x - y moves the midpoint by half a period
+        wrap = ((j - m + n // 2) < 0) | ((j - m + n // 2) >= n)
+        K = bf[(j + m + n * wrap) % (2 * n), zidx]
+    return (2.0 * math.pi) ** -0.5 * K
+
+
+@pytest.mark.parametrize("n, half_extent", [(64, 8.0), (342, 16.0)])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_kernel_matches_lattice_oracle(n, half_extent, t):
+    pg = o.phase_grid(o.make_grid(n, half_extent))
+    a = o.Field(pg, o.make_gaussian_mix(pg, 13).values + 0.1 * noise_field(pg, 14).values)
+    ref = lattice_kernel(a, t)
+    got = o.kernel(a, t).matrix
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+def test_rank_one_and_duality_at_general_t(t):
+    """Op_t(W^t(f1, f2)) h = (2 pi)^(-1/2) <h, f2> f1, and the operator
+    pairing equals the symbol pairing, at the battery's tolerances."""
+    g = o.make_grid(128, 10.0)
+    f1, f2, h, u = (o.make_gaussian_mix(g, s) for s in (52, 53, 54, 55))
+    W = o.wigner(f1, f2, t)
+    out = o.apply(W, t, h)
+    target = (2.0 * math.pi) ** -0.5 * o.inner_product(h, f2) * f1.values
+    assert np.abs(out.values - target).max() / np.abs(target).max() < 1e-6
+    lhs = o.inner_product(u, out)
+    rhs = (2.0 * math.pi) ** -0.5 * o.inner_product(o.wigner(u, h, t), W)
+    assert abs(lhs - rhs) / abs(lhs) < 1e-7

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import orlicztf as o
-from conftest import gaussian_window, noise_field
+from conftest import gaussian_window, noise_field, upsample2
+from orlicztf.tfa import _shifted
 
 
 def test_moyal_isometry(grid64):
@@ -88,13 +89,69 @@ def test_quantization_change_identity(grid128):
     assert np.max(np.abs(b.values - a.values)) < 1e-14
 
 
-def test_quantization_matrix_forms():
-    assert o.as_quantization(0.0).form == "zero"
-    assert o.as_quantization(0.5).form == "half_identity"
-    assert o.as_quantization(1.0).form == "identity"
-    assert o.as_quantization(0.3).form == "t_identity"
-    with pytest.raises(ValueError):
-        o.as_quantization(1.5)
+def test_quantization_parameter_range():
+    for t in (0.0, 0.3, 1.0):
+        assert o.as_quantization(t).t == t
+    for t in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            o.as_quantization(t)
+
+
+def test_shifted_lattice_shifts_are_rolls(grid64):
+    f = noise_field(grid64, 3)
+    dx = grid64.axes[0].spacing
+    steps = np.array([0, 1, -1, 5, -17, 32, 63])
+    E = _shifted(f.values, steps * dx, dx)
+    for l, k in enumerate(steps):
+        ref = np.roll(f.values, -k)
+        assert np.max(np.abs(E[:, l] - ref)) < 1e-12 * np.max(np.abs(ref))
+    cols = noise_field(o.Grid((grid64.axes[0], grid64.axes[0])), 4).values[:, :3]
+    E = _shifted(cols, steps[:3] * dx, dx)
+    for l, k in enumerate(steps[:3]):
+        ref = np.roll(cols[:, l], -k)
+        assert np.max(np.abs(E[:, l] - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_shifted_half_lattice_keeps_real_data_real(grid64):
+    v = noise_field(grid64, 5).values.real
+    dx = grid64.axes[0].spacing
+    E = _shifted(v, (np.arange(-8, 8) + 0.5) * dx, dx)
+    assert np.max(np.abs(E.imag)) < 1e-14 * np.max(np.abs(E))
+    # and the half-step samples are the trigonometric interpolant
+    up = upsample2(v)
+    for l, k in enumerate(range(-8, 8)):
+        ref = np.roll(up, -(2 * k + 1))[::2]
+        assert np.max(np.abs(E[:, l] - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def lattice_wigner(f1, f2, t):
+    """Test oracle: the index-gather (t = 0, 1) and half-grid upsampling
+    (t = 1/2) evaluation of the Wigner distribution."""
+    n = f1.grid.axes[0].n
+    j = np.arange(n)[:, None]
+    l = np.arange(n)[None, :]
+    v1, v2 = f1.values, f2.values
+    if t == 0.0:
+        prod = v1[:, None] * np.conj(v2[(j - (l - n // 2)) % n])
+    elif t == 1.0:
+        prod = v1[(j + l - n // 2) % n] * np.conj(v2[:, None])
+    else:
+        u1, u2 = upsample2(v1), upsample2(v2)
+        prod = (u1[(2 * j + l - n // 2) % (2 * n)]
+                * np.conj(u2[(2 * j - l + n // 2) % (2 * n)]))
+    vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(prod, axes=1), axis=1),
+                           axes=1)
+    return vals * f1.grid.axes[0].spacing / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n, half_extent", [(64, 8.0), (342, 16.0)])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_wigner_matches_lattice_oracle(n, half_extent, t):
+    g = o.make_grid(n, half_extent)
+    f1, f2 = o.make_gaussian_mix(g, 11), noise_field(g, 12)
+    ref = lattice_wigner(f1, f2, t)
+    got = o.wigner(f1, f2, t).values
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_stft_of_kernel_matches_shifted_stft_of_symbol():
