@@ -53,115 +53,128 @@ from .weights import Weight
 from .young import YoungFunction, check_delta2, check_p_steered
 
 
-# -- spec parsers ------------------------------------------------------------
+# -- spec grammar ----------------------------------------------------------------
+#
+# A spec is NAME[:ARG...].  A table row is a builder and one (converter,
+# default) pair per argument.  An int or float converter takes a token only
+# if it is a finite number; a table takes a nested spec if the token names a
+# row.  Builders look layer functions up when called, so tracing sees them.
+
+_REQUIRED = object()  # the default of an argument that must be given
+
+
+def _is_finite(conv, token: str) -> bool:
+    try:
+        return math.isfinite(conv(token))
+    except ValueError:
+        return False
+
+
+def _arg(tokens: list, conv, default):
+    """Pop and build the next argument if conv takes it, else the default."""
+    if tokens and isinstance(conv, dict):
+        if tokens[0] in conv:
+            return _take(tokens, conv)
+    elif tokens and _is_finite(conv, tokens[0]):
+        return conv(tokens.pop(0))
+    if default is _REQUIRED:
+        raise ValueError("an argument is missing")
+    return default
+
+
+def _take(tokens: list, table: dict, *context):
+    """Pop one NAME[:ARG...] off tokens; build it from context and arguments."""
+    name = tokens.pop(0)
+    if name not in table:
+        raise ValueError(f"unknown name {name!r}")
+    build, *params = table[name]
+    return build(*context, *[_arg(tokens, conv, default) for conv, default in params])
+
+
+def _parse(spec: str, table: dict, *context):
+    """Build a whole spec; a token left over is an error."""
+    tokens = spec.split(":")
+    try:
+        built = _take(tokens, table, *context)
+        if tokens:
+            raise ValueError(f"{':'.join(tokens)!r} is left over")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"spec {spec!r}: {exc}") from None
+    return built
+
+
+_YOUNG_KINDS = {
+    "power": (YoungFunction.power, (float, 2.0)),
+    "power_scaled": (YoungFunction.power_scaled, (float, 2.0)),
+    "cap": (YoungFunction.cap, (float, 1.0)),
+    "entropy": (YoungFunction.entropy,),
+    "tan_example": (YoungFunction.tan_example,),
+    "log_example": (YoungFunction.log_example,),
+}
+_YOUNG_KINDS["conjugate"] = (YoungFunction.conjugate, (_YOUNG_KINDS, _REQUIRED))
+
+_WEIGHT_KINDS = {
+    "one": (Weight.constant_one,),
+    "constant_one": (Weight.constant_one,),
+    "": (Weight.constant_one,),
+    "polynomial": (Weight.polynomial, (float, 0.0)),
+    "exponential": (Weight.exponential, (float, 0.0)),
+}
+
+
+def _space(phi, psi=None, flavor="M") -> ModulationSpaceSpec:
+    return ModulationSpaceSpec(phi, phi if psi is None else psi, flavor=flavor)
+
+
+_SPACE_KINDS = {
+    "M2": (lambda: _space(YoungFunction.power(2)),),
+    "Mp": (lambda p: _space(YoungFunction.power(p)), (float, _REQUIRED)),
+    "MPhi": (lambda: _space(YoungFunction.entropy()),),
+    "m": (_space, (_YOUNG_KINDS, _REQUIRED), (_YOUNG_KINDS, None)),
+    "w": (lambda phi, psi: _space(phi, psi, "W"),
+          (_YOUNG_KINDS, _REQUIRED), (_YOUNG_KINDS, None)),
+}
+
+
+def _noise(grid: Grid, seed: int) -> Field:
+    rng = np.random.default_rng(seed)
+    return Field(grid, rng.standard_normal(grid.shape)
+                 + 1j * rng.standard_normal(grid.shape))
+
+
+# builders get (grid, --seed, *args); a seed argument left out means --seed
+_SIGNAL_KINDS = {
+    "gaussian": (lambda g, seed, lam, x0, xi0: make_gaussian(g, lam, x0=x0, xi0=xi0),
+                 (float, 1.0), (float, None), (float, None)),
+    "hermite": (lambda g, seed, n: make_hermite(g, n), (int, 0)),
+    "mix": (lambda g, seed, s, terms: make_gaussian_mix(
+        g, seed if s is None else s, terms=terms), (int, None), (int, 3)),
+    "noise": (lambda g, seed, s: _noise(g, seed if s is None else s), (int, None)),
+    "bandlimited": (lambda g, seed, s, band: make_random_bandlimited(
+        g, seed if s is None else s, band=band), (int, None), (float, 5.0)),
+}
 
 
 def parse_young(spec: str) -> YoungFunction:
-    """kind[:param], with a leading "conjugate:" applying conjugation:
-    power:2, power_scaled:1.5, cap:1, entropy, tan_example, log_example,
-    conjugate:entropy."""
-    if spec.startswith("conjugate:"):
-        return parse_young(spec[len("conjugate:"):]).conjugate()
-    head, _, arg = spec.partition(":")
-    if head == "power":
-        return YoungFunction.power(float(arg or 2.0))
-    if head == "power_scaled":
-        return YoungFunction.power_scaled(float(arg or 2.0))
-    if head == "cap":
-        return YoungFunction.cap(float(arg or 1.0))
-    if head == "entropy":
-        return YoungFunction.entropy()
-    if head == "tan_example":
-        return YoungFunction.tan_example()
-    if head == "log_example":
-        return YoungFunction.log_example()
-    raise argparse.ArgumentTypeError(f"unknown Young function spec {spec!r}")
+    return _parse(spec, _YOUNG_KINDS)
 
 
 def parse_weight(spec: str) -> Weight:
-    head, _, arg = spec.partition(":")
-    if head in ("one", "constant_one", ""):
-        return Weight.constant_one()
-    if head == "polynomial":
-        return Weight.polynomial(float(arg or 0.0))
-    if head == "exponential":
-        return Weight.exponential(float(arg or 0.0))
-    raise argparse.ArgumentTypeError(f"unknown weight spec {spec!r}")
+    return _parse(spec, _WEIGHT_KINDS)
 
 
 def parse_space(spec: str) -> ModulationSpaceSpec:
-    """M2 | Mp:p | MPhi | m:PHI[:PSI] | w:PHI[:PSI] with PHI/PSI Young specs
-    (use ';' inside a Young spec slot never — slots split on the first ':'
-    pairs, e.g. m:power:3:power:1.5)."""
-    if spec == "M2":
-        p2 = YoungFunction.power(2)
-        return ModulationSpaceSpec(p2, p2)
-    if spec.startswith("Mp:"):
-        p = YoungFunction.power(float(spec.split(":", 1)[1]))
-        return ModulationSpaceSpec(p, p)
-    if spec == "MPhi":
-        e = YoungFunction.entropy()
-        return ModulationSpaceSpec(e, e)
-    head, _, rest = spec.partition(":")
-    if head in ("m", "w") and rest:
-        parts = rest.split(":")
-        # greedy parse: one or two Young specs, each "kind" or "kind:param"
-        specs = []
-        i = 0
-        while i < len(parts):
-            kind = parts[i]
-            takes_arg = kind in ("power", "power_scaled", "cap") or kind == "conjugate"
-            if kind == "conjugate":
-                # conjugate consumes the rest of one slot: conjugate:kind[:param]
-                if i + 1 == len(parts):
-                    raise argparse.ArgumentTypeError(
-                        f"space spec {spec!r}: 'conjugate' needs a Young spec after it")
-                nxt = parts[i + 1]
-                inner_takes = nxt in ("power", "power_scaled", "cap")
-                width = 3 if (inner_takes and i + 2 < len(parts)) else 2
-                specs.append(":".join(parts[i:i + width]))
-                i += width
-            elif takes_arg and i + 1 < len(parts):
-                specs.append(f"{kind}:{parts[i + 1]}")
-                i += 2
-            else:
-                specs.append(kind)
-                i += 1
-        phi = parse_young(specs[0])
-        psi = parse_young(specs[1]) if len(specs) > 1 else phi
-        return ModulationSpaceSpec(phi, psi, flavor="M" if head == "m" else "W")
-    raise argparse.ArgumentTypeError(f"unknown space spec {spec!r}")
+    """M^{p,q}-type spaces; m:PHI[:PSI] and w:PHI[:PSI] take Young specs."""
+    return _parse(spec, _SPACE_KINDS)
 
 
 def make_signal(spec: str, grid: Grid, seed: int) -> Field:
-    """gaussian[:lam[:x0[:xi0]]] | hermite:n | mix[:seed[:terms]] |
-    noise[:seed] | bandlimited[:seed[:band]] | a file path (.csv/.json)."""
-    if spec.endswith(".csv") or spec.endswith(".json"):
+    """A signal spec or the path of a saved .csv/.json field."""
+    if spec.endswith((".csv", ".json")):
         return load_field(spec)
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "gaussian":
-        lam = float(parts[1]) if len(parts) > 1 else 1.0
-        x0 = float(parts[2]) if len(parts) > 2 else None
-        xi0 = float(parts[3]) if len(parts) > 3 else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return make_gaussian(grid, lam, x0=x0, xi0=xi0)
-    if kind == "hermite":
-        return make_hermite(grid, int(parts[1]) if len(parts) > 1 else 0)
-    if kind == "mix":
-        s = int(parts[1]) if len(parts) > 1 else seed
-        terms = int(parts[2]) if len(parts) > 2 else 3
-        return make_gaussian_mix(grid, s, terms=terms)
-    if kind == "noise":
-        rng = np.random.default_rng(int(parts[1]) if len(parts) > 1 else seed)
-        return Field(grid, rng.standard_normal(grid.shape)
-                     + 1j * rng.standard_normal(grid.shape))
-    if kind == "bandlimited":
-        s = int(parts[1]) if len(parts) > 1 else seed
-        band = float(parts[2]) if len(parts) > 2 else 5.0
-        return make_random_bandlimited(grid, s, band=band)
-    raise argparse.ArgumentTypeError(f"unknown signal spec {spec!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return _parse(spec, _SIGNAL_KINDS, grid, seed)
 
 
 def load_field(path: str) -> Field:
@@ -229,7 +242,7 @@ def cmd_young(args) -> list:
     if args.action == "conjugate":
         conj = phi.conjugate()
         rows = [_row("conjugate_value", conj.evaluate(args.at))]
-        if args.kind == "log_example":
+        if phi == YoungFunction.log_example():
             # Phi*(t) = 0 for t <= 0, the t -> 0 limit of the closed form
             closed = 0.0
             if args.at > 0:
@@ -303,6 +316,8 @@ def cmd_transform(args) -> tuple:
                      / (l2_norm(f1) * l2_norm(f2)), args.tol or 1e-7, True)]
         out_field = W
     elif args.action == "twisted":
+        if args.input2 is None:
+            raise argparse.ArgumentTypeError("transform twisted needs --input2")
         F = load_field(args.input)
         G = load_field(args.input2)
         out_field = twisted_convolution(F, G)
@@ -409,9 +424,7 @@ def cmd_entropy(args) -> tuple:
         f = make_signal(args.input, g, args.seed)
         direction = make_signal(args.direction, g, args.seed)
         amplitudes = [float(t) for t in args.amplitudes.split(",")]
-        space, _, p = args.space.partition(":")
-        r = continuity_probe(f, direction, amplitudes, space=space,
-                                         p=float(p) if p else 2.0)
+        r = continuity_probe(f, direction, amplitudes, parse_space(args.space))
         rows = [_row(f"delta_entropy_amp_{row['amplitude']:g}",
                      {"space_norm": row["space_norm"],
                       "delta_entropy": row["delta_entropy"]})
@@ -422,36 +435,27 @@ def cmd_entropy(args) -> tuple:
     return rows, data_written
 
 
-_VERIFY_MAP = {
-    "moyal": "moyal_isometry",
-    "reproducing": "twisted_reproducing",
-    "projection": "stft_inversion_projection",
-    "rank-one": "rank_one_duality",
-    "hypotheses": "hypothesis_checkers",
+def _criterion(name: str):
+    return lambda args: [dict(verify.CRITERIA)[name]()]
+
+
+_VERIFY = {
+    "holder": lambda a: [verify.holder_inequality(trials=a.trials, seed=a.seed)],
+    "young-conv": lambda a: [verify.young_convolution_inequality(
+        trials=a.trials, seed=a.seed)],
+    "moyal": lambda a: [verify.moyal_isometry(
+        n=a.N, half_extent=a.L, trials=a.trials, seed=a.seed, tol=a.tol or 1e-8)],
+    "reproducing": _criterion("twisted_reproducing"),
+    "projection": _criterion("stft_inversion_projection"),
+    "rank-one": _criterion("rank_one_duality"),
+    "hypotheses": _criterion("hypothesis_checkers"),
+    "all": lambda a: verify.run_all()["results"],
 }
 
 
 def cmd_verify(args) -> list:
-    def rows_from(records) -> list:
-        return [_row(r["name"], r["value"], r["tolerance"], r["passed"])
-                for r in records]
-
-    if args.action == "all":
-        return rows_from(verify.run_all()["results"])
-    if args.action == "holder":
-        return rows_from([verify.holder_inequality(trials=args.trials,
-                                                   seed=args.seed)])
-    if args.action == "young-conv":
-        return rows_from([verify.young_convolution_inequality(
-            trials=args.trials, seed=args.seed)])
-    if args.action == "moyal":
-        return rows_from([verify.moyal_isometry(
-            n=args.N, half_extent=args.L, trials=args.trials, seed=args.seed,
-            tol=args.tol or 1e-8)])
-    if args.action in _VERIFY_MAP:
-        fn = dict(verify.CRITERIA)[_VERIFY_MAP[args.action]]
-        return rows_from([fn()])
-    raise argparse.ArgumentTypeError(f"unknown verify action {args.action}")
+    return [_row(r["name"], r["value"], r["tolerance"], r["passed"])
+            for r in _VERIFY[args.action](args)]
 
 
 # -- argument tree ---------------------------------------------------------------
@@ -488,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("young", parents=[common], help="Young-function calculus")
     p.add_argument("action", choices=("evaluate", "conjugate", "inverse", "classify"))
-    p.add_argument("--kind", required=True, help="e.g. power:2, entropy, log_example")
+    p.add_argument("--kind", required=True, help="Young spec")
     p.add_argument("--at", type=_nonnegative, default=1.0)
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--steer", type=float, default=2.0)
@@ -536,14 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", default="0.25,1,4")
     p.add_argument("--direction", default="hermite:2")
     p.add_argument("--amplitudes", default="0.3,0.1,0.03,0.01")
-    p.add_argument("--space", default="MPhi", help="M2 | Mp:p | MPhi")
+    p.add_argument("--space", default="MPhi", help="space spec")
     p.set_defaults(handler=cmd_entropy)
 
     p = sub.add_parser("verify", parents=[common],
                        help="named verification batteries")
-    p.add_argument("action",
-                   choices=("holder", "young-conv", "moyal", "reproducing",
-                            "projection", "rank-one", "hypotheses", "all"))
+    p.add_argument("action", choices=tuple(_VERIFY))
     p.set_defaults(handler=lambda a: (cmd_verify(a), False))
 
     return top
@@ -556,7 +558,7 @@ def main(argv=None) -> int:
     try:
         rows, data_written = args.handler(args)
     except (argparse.ArgumentTypeError, ValueError, FileNotFoundError) as exc:
-        parser.exit(2, f"error: {exc}\n")
+        parser.error(str(exc))
     config = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("handler",) and not callable(v)

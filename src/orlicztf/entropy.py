@@ -28,6 +28,8 @@ from .tfa import stft
 from .young import YoungFunction
 
 _FLOOR = 1e-300
+_M2 = ModulationSpaceSpec(YoungFunction.power(2), YoungFunction.power(2))
+_MPHI = ModulationSpaceSpec(YoungFunction.entropy(), YoungFunction.entropy())
 
 
 @dataclass(frozen=True)
@@ -131,38 +133,22 @@ def lieb_bound_check(f: Field, window: Field | None = None) -> dict:
     return {"entropy": e, "bound": bound, "satisfied": bool(e >= bound)}
 
 
-_SPACES = ("M2", "Mp", "MPhi")
-
-
-def _space_spec(space: str, p: float) -> ModulationSpaceSpec:
-    if space == "M2":
-        phi = YoungFunction.power(2)
-    elif space == "Mp":
-        phi = YoungFunction.power(p)
-    elif space == "MPhi":
-        phi = YoungFunction.entropy()
-    else:
-        raise ValueError(f"space must be one of {_SPACES}")
-    return ModulationSpaceSpec(phi, phi)
-
-
 def continuity_probe(f: Field, direction: Field, amplitudes,
-                     space: str = "MPhi", p: float = 2.0,
+                     space: ModulationSpaceSpec = _MPHI,
                      window: Field | None = None) -> dict:
     """Perturb f along a direction and tabulate the entropy response.
 
-    For each amplitude eps the row carries |eps g| in the chosen space norm
-    and |E(f + eps g) - E(f)|; the fitted constant bounds the response by
-    n^2 (1 + |log n|) in that norm.
+    For each amplitude eps the row carries |eps g| in the norm of `space`
+    (default M^Phi) and |E(f + eps g) - E(f)|; the fitted constant bounds
+    the response by n^2 (1 + |log n|) in that norm.
     """
     phi = window if window is not None else _default_window(f.grid)
-    spec = _space_spec(space, p)
     base = entropy(f, phi).value
     rows = []
     fitted = 0.0
     for eps in amplitudes:
         g = Field(f.grid, eps * direction.values)
-        norm = modulation_norm(g, spec, window=phi)
+        norm = modulation_norm(g, space, window=phi)
         perturbed = Field(f.grid, f.values + g.values)
         delta = abs(entropy(perturbed, phi).value - base)
         rows.append({"amplitude": float(eps), "space_norm": norm,
@@ -179,8 +165,6 @@ def lambda_family_table(lambdas, window: Field | None = None,
     lambdas = [float(l) for l in lambdas]
     g = grid if grid is not None else family_grid(lambdas)
     phi = window if window is not None else _default_window(g)
-    m2 = _space_spec("M2", 2.0)
-    mphi = _space_spec("MPhi", 2.0)
     rows = []
     for lam in lambdas:
         with warnings.catch_warnings():
@@ -189,8 +173,8 @@ def lambda_family_table(lambdas, window: Field | None = None,
         rows.append({
             "lam": lam,
             "entropy": entropy(f, phi).value,
-            "M2_norm": modulation_norm(f, m2, window=phi),
-            "MPhi_norm": modulation_norm(f, mphi, window=phi),
+            "M2_norm": modulation_norm(f, _M2, window=phi),
+            "MPhi_norm": modulation_norm(f, _MPHI, window=phi),
         })
     return rows
 
@@ -204,7 +188,7 @@ def omega_decomposition(f: Field, window: Field | None = None) -> dict:
     integral term (the compensator c log c is reported separately).
     """
     phi = window if window is not None else _default_window(f.grid)
-    lam_f = 1.01 * modulation_norm(f, _space_spec("MPhi", 2.0), window=phi)
+    lam_f = 1.01 * modulation_norm(f, _MPHI, window=phi)
     V = stft(f, phi)
     mag = np.abs(V.values)
     contrib = _integral_term(mag**2, V.grid.weight)

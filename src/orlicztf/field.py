@@ -10,6 +10,7 @@ centering shifts so that it is exactly unitary on the grid.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -229,52 +230,28 @@ def make_hermite(grid: Grid, n: int) -> Field:
 def make_random_bandlimited(grid: Grid, seed: int, band: float) -> Field:
     """Inverse transform of a seeded random spectrum supported in |xi| <= band.
 
-    Spectral modes are visited in a fixed centered order (0, +1, -1, +2, ...)
-    so the same seed yields the same underlying function on any grid whose
-    dual extent covers the band.  The result is periodic; consumers that need
-    decay should window it.
+    Spectral modes are visited in a fixed centered order (0, +1, -1, +2, ...,
+    -N/2) per axis, nested, so the same seed yields the same underlying
+    function on any grid whose dual extent covers the band.  The result is
+    periodic; consumers that need decay should window it.
     """
+    if not (band > 0 and math.isfinite(band)):
+        raise ValueError("band must be positive and finite")
     rng = np.random.default_rng(seed)
     spec = np.zeros(grid.shape, dtype=complex)
-    d = grid.dimension
     duals = [ax.dual() for ax in grid.axes]
-    if d == 1:
-        dx = duals[0]
+    orders = []
+    for dx in duals:
         half = dx.n // 2
-        rel = 0
-        order = []
-        while abs(rel) * dx.spacing <= band:
-            order.append(rel)
-            rel = -rel + 1 if rel <= 0 else -rel
-            if abs(rel) > half:
-                break
-        for r in order:
-            xi = r * dx.spacing
-            c = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-            spec[half + r] = c * math.exp(-((xi / band) ** 2))
-    else:
-        # same centered ordering per axis, nested
-        orders = []
-        for dx in duals:
-            half = dx.n // 2
-            rel = 0
-            axis_order = []
-            while abs(rel) * dx.spacing <= band:
-                axis_order.append(rel)
-                rel = -rel + 1 if rel <= 0 else -rel
-                if abs(rel) > half:
-                    break
-            orders.append(axis_order)
-        idx = [()]
-        for axis_order in orders:
-            idx = [i + (r,) for i in idx for r in axis_order]
-        for multi in idx:
-            xi2 = sum((r * dx.spacing) ** 2 for r, dx in zip(multi, duals))
-            if math.sqrt(xi2) > band:
-                continue
-            c = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-            pos = tuple(dx.n // 2 + r for r, dx in zip(multi, duals))
-            spec[pos] = c * math.exp(-(xi2 / band ** 2))
+        centered = sorted(range(-half, half), key=lambda r: (abs(r), -r))
+        orders.append([r for r in centered if abs(r) * dx.spacing <= band])
+    for multi in itertools.product(*orders):
+        xi2 = sum((r * dx.spacing) ** 2 for r, dx in zip(multi, duals))
+        if math.sqrt(xi2) > band:
+            continue
+        c = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+        pos = tuple(dx.n // 2 + r for r, dx in zip(multi, duals))
+        spec[pos] = c * math.exp(-((math.sqrt(xi2) / band) ** 2))
     spec_field = Field(Grid(tuple(duals)), spec)
     out = inverse_fourier_transform(spec_field)
     return Field(grid, out.values)
@@ -287,6 +264,8 @@ def make_gaussian_mix(grid: Grid, seed: int, terms: int = 3) -> Field:
     at every resolution; used wherever results at different N must refer to
     one underlying object.
     """
+    if terms < 1:
+        raise ValueError("a gaussian mix needs at least one term")
     rng = np.random.default_rng(seed)
     d = grid.dimension
     vals = np.zeros(grid.shape, dtype=complex)

@@ -27,7 +27,6 @@ and there the two definitions agree.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -138,13 +137,6 @@ class YoungFunction:
     @staticmethod
     def from_dict(d: dict) -> "YoungFunction":
         return YoungFunction(d["kind"], dict(d.get("params", {})), d.get("quasi_order", 1.0))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "YoungFunction":
-        return YoungFunction.from_dict(json.loads(s))
 
     def _base(self) -> "YoungFunction":
         return YoungFunction.from_dict(self.params["base"])

@@ -1,10 +1,17 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import orlicztf as o
 from orlicztf import cli
+from orlicztf.modspace import ModulationSpaceSpec
+from conftest import noise_field
 
 
 def run(capsys, argv):
@@ -98,6 +105,127 @@ def test_usage_errors_exit_two(capsys):
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert "usage:" in err and "must be >= 0" in err
+    small = ["--N", "32", "--L", "6"]
+    for spec, argv in (
+            ("gaussian:1:0:0:extra", ["norm", "luxemburg", "--input"]),
+            ("gaussian:nan", ["norm", "luxemburg", "--input"]),
+            ("bandlimited:1:0", ["norm", "luxemburg", "--input"]),
+            ("bandlimited:1:-1", ["norm", "luxemburg", "--input"]),
+            ("mix:1:0", ["norm", "luxemburg", "--input"]),
+            ("m:power:2:power:3:entropy",
+             ["norm", "modulation", "--input", "gaussian:1", "--space"]),
+            ("one:5", ["norm", "luxemburg", "--input", "gaussian:1", "--weight"]),
+            ("entropy:3", ["norm", "luxemburg", "--input", "gaussian:1", "--young"]),
+            ("power:inf", ["norm", "luxemburg", "--input", "gaussian:1", "--young"])):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [spec] + small)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and repr(spec) in err
+
+
+def test_twisted_needs_second_input(tmp_path, capsys):
+    out = tmp_path / "V.json"
+    run(capsys, ["transform", "stft", "--input", "mix:7", "--N", "32", "--L", "6",
+                 "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", "twisted", "--input", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--input2" in err
+
+
+Y = o.YoungFunction
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("power", Y.power(2)), ("power:3", Y.power(3)),
+    ("power_scaled:1.5", Y.power_scaled(1.5)), ("cap", Y.cap(1.0)),
+    ("cap:2", Y.cap(2.0)), ("entropy", Y.entropy()),
+    ("tan_example", Y.tan_example()), ("log_example", Y.log_example()),
+    ("conjugate:entropy", Y.entropy().conjugate()),
+    ("conjugate:conjugate:power:3", Y.power(3).conjugate().conjugate()),
+])
+def test_young_specs(spec, want):
+    assert cli.parse_young(spec) == want
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("one", o.Weight.constant_one()), ("constant_one", o.Weight.constant_one()),
+    ("polynomial", o.Weight.polynomial(0.0)), ("polynomial:2", o.Weight.polynomial(2.0)),
+    ("exponential:0.5", o.Weight.exponential(0.5)),
+])
+def test_weight_specs(spec, want):
+    assert cli.parse_weight(spec).to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("spec, phi, psi, flavor", [
+    ("M2", Y.power(2), Y.power(2), "M"),
+    ("Mp:1.5", Y.power(1.5), Y.power(1.5), "M"),
+    ("MPhi", Y.entropy(), Y.entropy(), "M"),
+    ("m:power:3", Y.power(3), Y.power(3), "M"),
+    ("m:power:3:power:1.5", Y.power(3), Y.power(1.5), "M"),
+    ("m:power:power:1.5", Y.power(2), Y.power(1.5), "M"),
+    ("m:conjugate:power:3:entropy", Y.power(3).conjugate(), Y.entropy(), "M"),
+    ("w:entropy", Y.entropy(), Y.entropy(), "W"),
+    ("w:cap:2:log_example", Y.cap(2.0), Y.log_example(), "W"),
+])
+def test_space_specs(spec, phi, psi, flavor):
+    assert cli.parse_space(spec).to_dict() == \
+        ModulationSpaceSpec(phi, psi, flavor=flavor).to_dict()
+
+
+@pytest.mark.parametrize("spec", [
+    "Mp", "Mp:nan", "bogus", "M2:3", "m", "m:conjugate", "m:bogus",
+    "m:power:2:power:3:entropy", "MPhi:", "m:power:inf"])
+def test_bad_space_specs(spec):
+    with pytest.raises(argparse.ArgumentTypeError, match=repr(spec)):
+        cli.parse_space(spec)
+
+
+def test_signal_specs(grid64):
+    g = grid64
+    cases = [
+        ("gaussian", o.make_gaussian(g, 1.0)),
+        ("gaussian:2:1:-1", o.make_gaussian(g, 2.0, x0=1.0, xi0=-1.0)),
+        ("hermite", o.make_hermite(g, 0)), ("hermite:3", o.make_hermite(g, 3)),
+        ("mix", o.make_gaussian_mix(g, 7)), ("mix:3:2", o.make_gaussian_mix(g, 3, 2)),
+        ("noise:5", noise_field(g, 5)), ("noise", noise_field(g, 7)),
+        ("bandlimited", o.make_random_bandlimited(g, 7, 5.0)),
+        ("bandlimited:2:3", o.make_random_bandlimited(g, 2, 3.0)),
+    ]
+    for spec, want in cases:
+        assert np.array_equal(cli.make_signal(spec, g, 7).values, want.values), spec
+
+
+_VOCAB = sorted(set(cli._YOUNG_KINDS) | set(cli._WEIGHT_KINDS) | set(cli._SPACE_KINDS)
+                | set(cli._SIGNAL_KINDS)) + ["nan", "inf", "-1", "x", "", "0", "1",
+                                             "2.5", "10"]
+_FUZZED = (
+    ["young", "evaluate", "--kind"],
+    ["norm", "luxemburg", "--input"],
+    ["norm", "luxemburg", "--input", "gaussian:1", "--young"],
+    ["norm", "luxemburg", "--input", "gaussian:1", "--weight"],
+    ["norm", "modulation", "--input", "gaussian:1", "--space"],
+    ["transform", "stft", "--input", "gaussian:1", "--window"],
+    ["entropy", "probe", "--amplitudes", "0.1", "--space"],
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(_FUZZED),
+       st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=5))
+def test_random_specs_exit_cleanly(argv, tokens):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + [":".join(tokens), "--N", "16", "--L", "4",
+                                    "--d", "1"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code != 2:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_numerical_failure_exits_one(capsys):

@@ -6,7 +6,6 @@ import pytest
 import orlicztf as o
 from conftest import gaussian_window, noise_field, unit
 from orlicztf import entropy as entropy_of
-from orlicztf.entropy import _space_spec
 
 
 def test_standard_gaussian_closed_value(grid256):
@@ -129,16 +128,9 @@ def test_omega_decomposition_low_region_dominates(grid256):
 def test_continuity_probe_amplitude_scaling(grid128):
     f = gaussian_window(grid128)
     direction = o.make_hermite(grid128, 2)
-    r = o.continuity_probe(f, direction, [0.3, 0.1, 0.03], space="MPhi")
+    r = o.continuity_probe(f, direction, [0.3, 0.1, 0.03])
     deltas = [row["delta_entropy"] for row in r["rows"]]
     norms = [row["space_norm"] for row in r["rows"]]
     assert deltas[0] > deltas[1] > deltas[2] > 0
     assert norms[0] > norms[1] > norms[2] > 0
     assert 0 < r["fitted_constant"] < 100.0
-
-
-def test_space_spec_selector():
-    assert _space_spec("M2", 2.0).phi.kind == "power"
-    assert _space_spec("MPhi", 2.0).phi.kind == "entropy"
-    with pytest.raises(ValueError):
-        _space_spec("bogus", 2.0)

@@ -78,6 +78,55 @@ def test_bandlimited_band_respected(grid256):
     assert np.max(np.abs(ft.values[outside])) < 1e-12 * np.max(np.abs(ft.values))
 
 
+def _bandlimited_1d_oracle(grid, seed, band):
+    """Test oracle: the one-axis loop that make_random_bandlimited used for
+    d = 1, for bands below the Nyquist frequency."""
+    rng = np.random.default_rng(seed)
+    dx = grid.axes[0].dual()
+    half = dx.n // 2
+    spec = np.zeros(grid.shape, dtype=complex)
+    rel = 0
+    order = []
+    while abs(rel) * dx.spacing <= band:
+        order.append(rel)
+        rel = -rel + 1 if rel <= 0 else -rel
+        if abs(rel) > half:
+            break
+    for r in order:
+        xi = r * dx.spacing
+        c = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+        spec[half + r] = c * math.exp(-((xi / band) ** 2))
+    return o.inverse_fourier_transform(o.Field(o.Grid((dx,)), spec)).values
+
+
+@pytest.mark.parametrize("n", [32, 64, 342])
+def test_bandlimited_matches_one_axis_oracle(n):
+    g = o.make_grid(n, 6.0)
+    nyquist = math.pi * n / 12.0
+    for band in (0.3, 2.5, 0.5 * nyquist, 0.999 * nyquist):
+        for seed in range(3):
+            got = o.make_random_bandlimited(g, seed, band).values
+            assert np.array_equal(got, _bandlimited_1d_oracle(g, seed, band))
+
+
+@pytest.mark.parametrize("band", [0.0, -1.0, math.nan, math.inf])
+def test_bandlimited_rejects_bad_band(grid64, band):
+    with pytest.raises(ValueError):
+        o.make_random_bandlimited(grid64, 1, band)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bandlimited_above_nyquist_fills_every_mode(d):
+    g = o.make_grid(16, 6.0, d)
+    f = o.make_random_bandlimited(g, 1, band=20.0)
+    assert np.all(np.abs(o.fourier_transform(f).values) > 0)
+
+
+def test_mix_needs_a_term(grid64):
+    with pytest.raises(ValueError):
+        o.make_gaussian_mix(grid64, 1, terms=0)
+
+
 def test_mix_deterministic(grid128):
     a = o.make_gaussian_mix(grid128, 11)
     b = o.make_gaussian_mix(grid128, 11)
