@@ -10,17 +10,14 @@ batteries (`verify`) exposed through the `orlicztf` command line (`cli`).
 """
 
 from .entropy import (
-    EntropyResult,
     continuity_probe,
     entropy,
     family_grid,
     gaussian_family_scan,
     lambda_family_table,
     lieb_bound_check,
-    omega_decomposition,
 )
 from .field import (
-    Axis,
     Field,
     Grid,
     fourier_transform,
@@ -29,7 +26,6 @@ from .field import (
     l2_norm,
     load_csv,
     load_json,
-    lp_norm,
     make_gaussian,
     make_gaussian_mix,
     make_grid,
@@ -43,11 +39,8 @@ from .modspace import (
     ModulationSpaceSpec,
     check_embedding,
     check_pseudo_hypotheses,
-    check_wigner_hypotheses,
-    inverse_product_check,
     lower_growth_check,
     modulation_norm,
-    phase_field_norm,
     stft_norm_factorization_check,
 )
 from .orlicz import (
@@ -58,7 +51,6 @@ from .orlicz import (
     verify_young_convolution,
 )
 from .psido import (
-    KernelMatrix,
     apply,
     calculi_consistency,
     estimate_operator_norm,
@@ -67,7 +59,6 @@ from .psido import (
     symbol_norm,
 )
 from .tfa import (
-    QuantizationMatrix,
     as_quantization,
     quantization_change,
     stft,
@@ -85,14 +76,10 @@ from .young import (
 )
 
 __all__ = [
-    "Axis",
-    "EntropyResult",
     "Field",
     "Grid",
-    "KernelMatrix",
     "MixedNormSpec",
     "ModulationSpaceSpec",
-    "QuantizationMatrix",
     "Weight",
     "YoungFunction",
     "apply",
@@ -102,7 +89,6 @@ __all__ = [
     "check_embedding",
     "check_p_steered",
     "check_pseudo_hypotheses",
-    "check_wigner_hypotheses",
     "closed_power_form",
     "continuity_probe",
     "entropy",
@@ -112,7 +98,6 @@ __all__ = [
     "gaussian_family_scan",
     "inner_product",
     "inverse_fourier_transform",
-    "inverse_product_check",
     "kernel",
     "l2_norm",
     "lambda_family_table",
@@ -120,7 +105,6 @@ __all__ = [
     "load_csv",
     "load_json",
     "lower_growth_check",
-    "lp_norm",
     "luxemburg_norm",
     "make_gaussian",
     "make_gaussian_mix",
@@ -129,8 +113,6 @@ __all__ = [
     "make_random_bandlimited",
     "mixed_norm",
     "modulation_norm",
-    "omega_decomposition",
-    "phase_field_norm",
     "phase_grid",
     "quantization_change",
     "reduce_symbol",

@@ -4,8 +4,7 @@ E_phi(f) = -integral |V_phi f|^2 log |V_phi f|^2 over phase space, plus the
 Moyal compensator c log c with c = |phi|^2 |f|^2, which makes the functional
 quadratically homogeneous: E_phi(s f) = |s|^2 E_phi(f).  The module also
 carries the Gaussian lambda-family experiment, the lower-bound check for
-normalized pairs, continuity probes in several space norms, and a
-diagnostic decomposition of the integrand by magnitude regions.
+normalized pairs, and continuity probes in several space norms.
 """
 
 from __future__ import annotations
@@ -177,28 +176,3 @@ def lambda_family_table(lambdas, window: Field | None = None,
             "MPhi_norm": modulation_norm(f, _MPHI, window=phi),
         })
     return rows
-
-
-def omega_decomposition(f: Field, window: Field | None = None) -> dict:
-    """Split the entropy integral by the magnitude of |V_phi f|.
-
-    The threshold level is 1.01 times the MPhi modulation norm of f; the
-    three regions are |V| below threshold * e^{-2/3}, between that and the
-    threshold, and above the threshold.  The three parts sum to the total
-    integral term (the compensator c log c is reported separately).
-    """
-    phi = window if window is not None else _default_window(f.grid)
-    lam_f = 1.01 * modulation_norm(f, _MPHI, window=phi)
-    V = stft(f, phi)
-    mag = np.abs(V.values)
-    contrib = _integral_term(mag**2, V.grid.weight)
-    lo = lam_f * math.exp(-2.0 / 3.0)
-    regions = [mag < lo, (mag >= lo) & (mag < lam_f), mag >= lam_f]
-    parts = [float(contrib[r].sum()) for r in regions]
-    total = float(contrib.sum())
-    return {
-        "threshold": lam_f,
-        "parts": parts,
-        "total_integral_term": total,
-        "residual": abs(sum(parts) - total) / max(abs(total), _FLOOR),
-    }

@@ -75,10 +75,6 @@ class Grid:
         return tuple(ax.n for ax in self.axes)
 
     @property
-    def spacings(self) -> tuple:
-        return tuple(ax.spacing for ax in self.axes)
-
-    @property
     def weight(self) -> float:
         """Quadrature weight per sample: the product of the axis spacings."""
         w = 1.0
@@ -148,13 +144,6 @@ def inner_product(f: Field, g: Field) -> complex:
     if not f.grid.matches(g.grid):
         raise ValueError("grid mismatch in inner product")
     return complex(np.vdot(g.values, f.values) * f.grid.weight)
-
-
-def lp_norm(f: Field, p: float = 2.0) -> float:
-    a = np.abs(f.values)
-    if math.isinf(p):
-        return float(a.max()) if a.size else 0.0
-    return float((np.sum(a ** p) * f.grid.weight) ** (1.0 / p))
 
 
 def l2_norm(f: Field) -> float:
@@ -323,19 +312,22 @@ def save_csv(f: Field, path: str) -> None:
 
 def load_csv(path: str) -> Field:
     with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        grid = _parse_grid_header(header)
-        re = []
-        im = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            re.append(float(cells[-2]))
-            im.append(float(cells[-1]))
-    vals = (np.array(re) + 1j * np.array(im)).reshape(grid.shape)
-    return Field(grid, vals)
+        try:
+            grid = _parse_grid_header(fh.readline().rstrip("\n"))
+            re = []
+            im = []
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                cells = line.split(",")
+                re.append(float(cells[-2]))
+                im.append(float(cells[-1]))
+            vals = (np.array(re) + 1j * np.array(im)).reshape(grid.shape)
+            return Field(grid, vals)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path} is not a saved field ({type(exc).__name__}: {exc})") from exc
 
 
 def save_json(f: Field, path: str) -> None:
@@ -355,11 +347,15 @@ def save_json(f: Field, path: str) -> None:
 
 def load_json(path: str) -> Field:
     with open(path) as fh:
-        doc = json.load(fh)
-    g = doc["grid"]
-    grid = Grid(
-        tuple(Axis(n, l) for n, l in zip(g["N"], g["L"])),
-        tuple(g.get("roles", ["x"] * g["d"])),
-    )
-    vals = (np.array(doc["re"]) + 1j * np.array(doc["im"])).reshape(grid.shape)
-    return Field(grid, vals)
+        try:
+            doc = json.load(fh)
+            g = doc["grid"]
+            grid = Grid(
+                tuple(Axis(n, l) for n, l in zip(g["N"], g["L"])),
+                tuple(g.get("roles", ["x"] * g["d"])),
+            )
+            vals = (np.array(doc["re"]) + 1j * np.array(doc["im"])).reshape(grid.shape)
+            return Field(grid, vals)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path} is not a saved field ({type(exc).__name__}: {exc})") from exc

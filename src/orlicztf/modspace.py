@@ -41,31 +41,10 @@ class ModulationSpaceSpec:
         if self.flavor not in ("M", "W"):
             raise ValueError("flavor must be 'M' or 'W'")
 
-    def to_dict(self) -> dict:
-        return {
-            "phi": self.phi.to_dict(),
-            "psi": self.psi.to_dict(),
-            "weight": self.weight.to_dict(),
-            "flavor": self.flavor,
-            "window": "gaussian" if self.window is None else "custom",
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModulationSpaceSpec":
-        return ModulationSpaceSpec(
-            YoungFunction.from_dict(d["phi"]),
-            YoungFunction.from_dict(d["psi"]),
-            Weight.from_dict(d.get("weight", {"kind": "constant_one"})),
-            d.get("flavor", "M"),
-        )
-
     def stages_for(self, d: int) -> MixedNormSpec:
         x_axes = tuple(range(d))
         xi_axes = tuple(range(d, 2 * d))
-        symmetric = (
-            self.phi.to_dict() == self.psi.to_dict() and self.weight.is_constant_one
-        )
-        if symmetric:
+        if self.phi == self.psi and self.weight.is_constant_one:
             stages = ((x_axes + xi_axes, self.phi),)
         elif self.flavor == "M":
             stages = ((x_axes, self.phi), (xi_axes, self.psi))
@@ -216,7 +195,7 @@ def _condition(name, passed, applicable=True, **extra):
 
 def _shared_function_conditions(funcs, steer_exp, growth_exp, prod_exp, r):
     """Steering, local doubling, lower growth, and inverse-product
-    conditions on the function quadruple; used by both checkers."""
+    conditions on the function quadruple."""
     names = ("Phi1", "Psi1", "Phi2", "Psi2")
     conds = []
     for nm, f in zip(names, funcs):
@@ -262,30 +241,6 @@ def check_pseudo_hypotheses(p: float, q: float,
         conds.append(
             _condition("dual_exponent_conditions", True, applicable=False,
                        note="p = 1 leaves no dual-exponent requirements")
-        )
-    passes = all(c["passed"] for c in conds if c["applicable"])
-    return {"p": p, "q": q, "r": r, "conditions": conds, "passes": passes}
-
-
-def check_wigner_hypotheses(p: float, q: float,
-                            phi1: YoungFunction, psi1: YoungFunction,
-                            phi2: YoungFunction, psi2: YoungFunction,
-                            r: float = 0.5) -> dict:
-    """Hypothesis battery for the cross-term transform: q >= p, p-steering,
-    local doubling, lower growth against t^q, inverse products against
-    s^{1/p+1/q}."""
-    if not (1.0 <= p) or not (1.0 <= q):
-        raise ValueError("exponents must lie in [1, inf]")
-    conds = [_condition("q_ge_p", q >= p)]
-    if math.isfinite(p):
-        beta = (1.0 / p) + (0.0 if math.isinf(q) else 1.0 / q)
-        conds += _shared_function_conditions(
-            (phi1, psi1, phi2, psi2), steer_exp=p, growth_exp=q, prod_exp=beta, r=r
-        )
-    else:
-        conds.append(
-            _condition("exponent_conditions", True, applicable=False,
-                       note="p = inf leaves no steering requirements")
         )
     passes = all(c["passed"] for c in conds if c["applicable"])
     return {"p": p, "q": q, "r": r, "conditions": conds, "passes": passes}

@@ -112,21 +112,6 @@ class MixedNormSpec:
     def axes_covered(self) -> set:
         return {a for axes, _ in self.stages for a in axes}
 
-    def to_dict(self) -> dict:
-        return {
-            "stages": [
-                {"axes": list(axes), "young": phi.to_dict()} for axes, phi in self.stages
-            ],
-            "weight": self.weight.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MixedNormSpec":
-        stages = [
-            (tuple(s["axes"]), YoungFunction.from_dict(s["young"])) for s in d["stages"]
-        ]
-        return MixedNormSpec(tuple(stages), Weight.from_dict(d["weight"]))
-
 
 def mixed_norm(f: Field, spec: MixedNormSpec) -> float:
     """Iterated weighted norm over the given stage list."""

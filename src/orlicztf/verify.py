@@ -32,7 +32,6 @@ from .modspace import (
     ModulationSpaceSpec,
     check_embedding,
     check_pseudo_hypotheses,
-    modulation_norm,
 )
 from .orlicz import verify_holder, verify_young_convolution
 from .tfa import quantization_change, stft, stft_adjoint, stft_projection, twisted_convolution, wigner

@@ -1,22 +1,19 @@
-"""Weight functions on R^d and moderateness checks.
+"""Weight functions on R^d.
 
-A weight is a positive function; the checks below estimate whether one
-weight is moderate with respect to another (omega(x+y) <= C omega(x) v(y))
-and whether the slot conditions used by the operator-continuity and
-cross-term results hold.  Boundedness on an unbounded domain cannot be
-decided from finitely many samples, so every check reports the grid sup
-together with a refinement verdict: the sup over the full grid must not
-outgrow the sup over the half-extent grid by more than 50 percent.
+A weight is a positive function of the points of a grid:
+
+    constant_one     1
+    polynomial(s)    (1 + |x|^2)^(s/2)
+    exponential(r)   exp(r |x|)
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_KINDS = ("constant_one", "polynomial", "exponential", "product", "custom")
+_KINDS = ("constant_one", "polynomial", "exponential")
 
 
 @dataclass(frozen=True)
@@ -40,186 +37,21 @@ class Weight:
     def exponential(r: float) -> "Weight":
         return Weight("exponential", {"r": float(r)})
 
-    @staticmethod
-    def product(factors) -> "Weight":
-        """factors: sequence of (weight, axes); each factor sees pts[..., axes]."""
-        fs = [(w, tuple(int(a) for a in axes)) for w, axes in factors]
-        return Weight("product", {"factors": fs})
-
-    @staticmethod
-    def custom(fn) -> "Weight":
-        return Weight("custom", {"fn": fn})
-
-    def to_dict(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom weights cannot be serialized")
-        if self.kind == "product":
-            return {
-                "kind": "product",
-                "factors": [
-                    {"weight": w.to_dict(), "axes": list(axes)}
-                    for w, axes in self.params["factors"]
-                ],
-            }
-        return {"kind": self.kind, **self.params}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Weight":
-        kind = d["kind"]
-        if kind == "product":
-            return Weight.product(
-                [(Weight.from_dict(f["weight"]), f["axes"]) for f in d["factors"]]
-            )
-        params = {k: v for k, v in d.items() if k != "kind"}
-        return Weight(kind, params)
-
     @property
     def is_constant_one(self) -> bool:
         if self.kind == "constant_one":
             return True
         if self.kind == "polynomial":
             return self.params["s"] == 0.0
-        if self.kind == "exponential":
-            return self.params["r"] == 0.0
-        if self.kind == "product":
-            return all(w.is_constant_one for w, _ in self.params["factors"])
-        return False
+        return self.params["r"] == 0.0
 
     def evaluate(self, pts):
         """Weight values; pts has shape (..., d), the result has shape (...)."""
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return float(self._eval(pts[None, :])[0])
-        return self._eval(pts)
-
-    def _eval(self, pts: np.ndarray) -> np.ndarray:
-        k = self.kind
-        if k == "constant_one":
-            return np.ones(pts.shape[:-1])
-        if k == "polynomial":
-            s = self.params["s"]
-            return (1.0 + np.sum(pts * pts, axis=-1)) ** (s / 2.0)
-        if k == "exponential":
-            r = self.params["r"]
-            return np.exp(r * np.sqrt(np.sum(pts * pts, axis=-1)))
-        if k == "product":
+        if self.kind == "constant_one":
             out = np.ones(pts.shape[:-1])
-            for w, axes in self.params["factors"]:
-                out = out * w._eval(pts[..., list(axes)])
-            return out
-        if k == "custom":
-            return np.asarray(self.params["fn"](pts), dtype=float)
-        raise AssertionError(k)
-
-
-def _axis_grid(extent: float, points: int, dim: int) -> np.ndarray:
-    axes = [np.linspace(-extent, extent, points)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _trend_verdict(sup_full: float, sup_half: float) -> bool:
-    if not math.isfinite(sup_full):
-        return False
-    return sup_full <= 1.5 * sup_half + 1e-12
-
-
-def check_moderate(omega: Weight, v: Weight, dim: int = 1,
-                   extent: float = 8.0, points: int = 33) -> dict:
-    """Estimate sup over x, y of omega(x+y) / (omega(x) v(y)).
-
-    Reports the grid constant; "moderate" holds when the sup is finite and
-    stays within 50 percent of the half-extent sup, so genuinely unbounded
-    ratios (which grow with the window) are rejected.
-    """
-
-    def grid_sup(ext, npts):
-        X = _axis_grid(ext, npts, dim)
-        num = omega._eval(X[:, None, :] + X[None, :, :])
-        den = omega._eval(X)[:, None] * v._eval(X)[None, :]
-        return float(np.max(num / den))
-
-    sup_half = grid_sup(extent / 2.0, (points + 1) // 2)
-    sup_full = grid_sup(extent, points)
-    return {
-        "moderate": _trend_verdict(sup_full, sup_half),
-        "constant": sup_full,
-        "half_constant": sup_half,
-        "extent": extent,
-        "points": points,
-    }
-
-
-def check_pseudo_weight_condition(omega0: Weight, omega1: Weight, omega2: Weight,
-                                  t: float, dim: int = 1,
-                                  extent: float = 4.0, points: int = 9) -> dict:
-    """Slot condition for operator continuity with quantization parameter t:
-
-        omega2(x, xi) <= C omega1(y, eta)
-                           * omega0((1-t)x + t y, t xi + (1-t) eta, xi - eta, y - x)
-
-    over all x, xi, y, eta.  Same grid-plus-refinement verdict as
-    check_moderate.
-    """
-
-    def grid_sup(ext, npts):
-        g = _axis_grid(ext, npts, dim)
-        n = g.shape[0]
-        x = g[:, None, None, None, :]
-        xi = g[None, :, None, None, :]
-        y = g[None, None, :, None, :]
-        eta = g[None, None, None, :, :]
-        bc = np.broadcast_shapes(x.shape, xi.shape, y.shape, eta.shape)
-        x, xi, y, eta = (np.broadcast_to(a, bc) for a in (x, xi, y, eta))
-        num = omega2._eval(np.concatenate([x, xi], axis=-1))
-        den1 = omega1._eval(np.concatenate([y, eta], axis=-1))
-        slot = np.concatenate(
-            [(1 - t) * x + t * y, t * xi + (1 - t) * eta, xi - eta, y - x], axis=-1
-        )
-        den0 = omega0._eval(slot)
-        return float(np.max(num / (den1 * den0)))
-
-    sup_half = grid_sup(extent / 2.0, max(3, (points + 1) // 2))
-    sup_full = grid_sup(extent, points)
-    return {
-        "bounded": _trend_verdict(sup_full, sup_half),
-        "constant": sup_full,
-        "half_constant": sup_half,
-        "extent": extent,
-        "points": points,
-        "t": t,
-    }
-
-
-def check_wigner_weight_condition(omega: Weight, omega1: Weight, omega2: Weight,
-                                  t: float, dim: int = 1,
-                                  extent: float = 4.0, points: int = 9) -> dict:
-    """Slot condition for the cross-term transform:
-
-        omega(x, xi, eta, y) <= C omega1(x - t y, xi + (1-t) eta)
-                                  * omega2(x + (1-t) y, xi - t eta)
-    """
-
-    def grid_sup(ext, npts):
-        g = _axis_grid(ext, npts, dim)
-        x = g[:, None, None, None, :]
-        xi = g[None, :, None, None, :]
-        eta = g[None, None, :, None, :]
-        y = g[None, None, None, :, :]
-        bc = np.broadcast_shapes(x.shape, xi.shape, eta.shape, y.shape)
-        x, xi, eta, y = (np.broadcast_to(a, bc) for a in (x, xi, eta, y))
-        num = omega._eval(np.concatenate([x, xi, eta, y], axis=-1))
-        den1 = omega1._eval(np.concatenate([x - t * y, xi + (1 - t) * eta], axis=-1))
-        den2 = omega2._eval(np.concatenate([x + (1 - t) * y, xi - t * eta], axis=-1))
-        return float(np.max(num / (den1 * den2)))
-
-    sup_half = grid_sup(extent / 2.0, max(3, (points + 1) // 2))
-    sup_full = grid_sup(extent, points)
-    return {
-        "bounded": _trend_verdict(sup_full, sup_half),
-        "constant": sup_full,
-        "half_constant": sup_half,
-        "extent": extent,
-        "points": points,
-        "t": t,
-    }
+        elif self.kind == "polynomial":
+            out = (1.0 + np.sum(pts * pts, axis=-1)) ** (self.params["s"] / 2.0)
+        else:
+            out = np.exp(self.params["r"] * np.sqrt(np.sum(pts * pts, axis=-1)))
+        return float(out) if pts.ndim == 1 else out

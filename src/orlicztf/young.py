@@ -16,7 +16,7 @@ Built-in kinds:
     log_example      0 at 0, -t/log t on (0, 1), inf for t >= 1
     table            convex piecewise-linear interpolant of sorted knots,
                      continued past the last knot with a declared tail slope
-    conjugate        Legendre transform of a stored base function
+    conjugate        Legendre transform of the YoungFunction params["base"]
 
 The entropy kind is the convexification of -t^2 log t with a tangent
 continuation at the inflection point: the raw curve stops being convex at
@@ -129,18 +129,6 @@ class YoungFunction:
             "table", {"knots": knots, "tail_slope": float(tail_slope)}
         )
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params), "quasi_order": self.quasi_order}
-
-    @staticmethod
-    def from_dict(d: dict) -> "YoungFunction":
-        return YoungFunction(d["kind"], dict(d.get("params", {})), d.get("quasi_order", 1.0))
-
-    def _base(self) -> "YoungFunction":
-        return YoungFunction.from_dict(self.params["base"])
-
     # -- landmarks ---------------------------------------------------------
 
     def zero_point(self) -> float:
@@ -158,7 +146,7 @@ class YoungFunction:
                     break
             return t1
         if k == "conjugate":
-            return self._base().inf_slope()
+            return self.params["base"].inf_slope()
         return 0.0
 
     def infinity_point(self) -> float:
@@ -175,7 +163,7 @@ class YoungFunction:
                 return self.params["knots"][-1][0]
             return math.inf
         if k == "conjugate":
-            return self._base().sup_slope()
+            return self.params["base"].sup_slope()
         return math.inf
 
     def sup_value(self) -> float:
@@ -218,7 +206,7 @@ class YoungFunction:
                 return (knots[1][1] - knots[0][1]) / (knots[1][0] - knots[0][0])
             return self.params.get("tail_slope", math.inf)
         if k == "conjugate":
-            return self._base().zero_point()
+            return self.params["base"].zero_point()
         raise AssertionError(k)
 
     def sup_slope(self) -> float:
@@ -237,7 +225,7 @@ class YoungFunction:
             tail = self.params.get("tail_slope", math.inf)
             return tail
         if k == "conjugate":
-            return self._base().infinity_point()
+            return self.params["base"].infinity_point()
         raise AssertionError(k)
 
     def _tail_intercept(self) -> float:
@@ -303,7 +291,7 @@ class YoungFunction:
                 out = np.where(beyond, vs[-1] + tail * (t - ts[-1]), out)
             return out
         if k == "conjugate":
-            return _conjugate_eval(self._base(), t)
+            return _conjugate_eval(self.params["base"], t)
         raise AssertionError(k)
 
     def derivative(self, t):
@@ -351,7 +339,7 @@ class YoungFunction:
             return np.asarray(out, dtype=float)
         if k == "conjugate":
             # derivative of the Legendre transform is the argmax map
-            return _conjugate_argmax(self._base(), np.asarray(t, dtype=float))
+            return _conjugate_argmax(self.params["base"], np.asarray(t, dtype=float))
         raise AssertionError(k)
 
     # -- conjugation -------------------------------------------------------
@@ -374,7 +362,7 @@ class YoungFunction:
             return YoungFunction.power_scaled(p / (p - 1.0))
         if k == "cap" and self.params["a"] == 1.0:
             return YoungFunction.power(1.0)
-        return YoungFunction("conjugate", {"base": self.to_dict()})
+        return YoungFunction("conjugate", {"base": self})
 
     # -- essential inverse -------------------------------------------------
 
@@ -604,7 +592,7 @@ def closed_power_form(phi: YoungFunction):
         p = phi.params["p"]
         return 1.0 / p, p
     if phi.kind == "conjugate":
-        base = closed_power_form(phi._base())
+        base = closed_power_form(phi.params["base"])
         if base is None:
             return None
         c, p = base

@@ -135,6 +135,50 @@ def test_twisted_needs_second_input(tmp_path, capsys):
     assert "usage:" in err and "--input2" in err
 
 
+_NOT_FIELDS = {
+    "ab.json": '{"a": 1}',
+    "list.json": "[1, 2]",
+    "no_n.json": '{"grid": {"d": 1, "L": [6.0]}, "re": [0, 0], "im": [0, 0]}',
+    "im_text.json": '{"grid": {"d": 1, "L": [6.0], "N": [2]}, "re": [0, 0], "im": "x"}',
+    "no_l.csv": "# grid d=1 N=4\n-6,0,0\n",
+}
+
+
+@pytest.mark.parametrize("name", ["report.json"] + sorted(_NOT_FIELDS))
+def test_malformed_field_files_exit_two(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    if name == "report.json":
+        run(capsys, ["young", "evaluate", "--kind", "power:2", "--out", path])
+    else:
+        with open(path, "w") as fh:
+            fh.write(_NOT_FIELDS[name])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm", "luxemburg", "--input", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"{path} is not a saved field" in err
+
+
+def test_young_inverse(capsys):
+    code, rep = run(capsys, ["young", "inverse", "--kind", "power:2", "--at", "4"])
+    assert code == 0 and rep["results"][0]["value"] == 2.0
+    code, rep = run(capsys, ["young", "inverse", "--kind", "entropy", "--at", "0.01"])
+    t = rep["results"][0]["value"]
+    assert code == 0 and abs(o.YoungFunction.entropy().evaluate(t) - 0.01) < 1e-15
+
+
+def test_transform_twisted_report(tmp_path, capsys):
+    paths = [str(tmp_path / "F.json"), str(tmp_path / "G.json")]
+    for path, signal in zip(paths, ("mix:7", "hermite:1")):
+        run(capsys, ["transform", "stft", "--input", signal, "--N", "32", "--L", "6",
+                     "--out", path])
+    code, rep = run(capsys, ["transform", "twisted", "--input", paths[0],
+                             "--input2", paths[1]])
+    F, G = (o.load_json(path) for path in paths)
+    assert code == 0
+    assert rep["results"][0]["value"] == o.l2_norm(o.twisted_convolution(F, G))
+
+
 Y = o.YoungFunction
 
 
@@ -156,7 +200,7 @@ def test_young_specs(spec, want):
     ("exponential:0.5", o.Weight.exponential(0.5)),
 ])
 def test_weight_specs(spec, want):
-    assert cli.parse_weight(spec).to_dict() == want.to_dict()
+    assert cli.parse_weight(spec) == want
 
 
 @pytest.mark.parametrize("spec, phi, psi, flavor", [
@@ -171,8 +215,7 @@ def test_weight_specs(spec, want):
     ("w:cap:2:log_example", Y.cap(2.0), Y.log_example(), "W"),
 ])
 def test_space_specs(spec, phi, psi, flavor):
-    assert cli.parse_space(spec).to_dict() == \
-        ModulationSpaceSpec(phi, psi, flavor=flavor).to_dict()
+    assert cli.parse_space(spec) == ModulationSpaceSpec(phi, psi, flavor=flavor)
 
 
 @pytest.mark.parametrize("spec", [

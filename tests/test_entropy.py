@@ -104,27 +104,6 @@ def test_lambda_family_table_norms():
     assert rows[0]["MPhi_norm"] < rows[1]["MPhi_norm"]
 
 
-def test_omega_decomposition_parts_sum(grid256):
-    f = o.make_gaussian_mix(grid256, 13)
-    r = o.omega_decomposition(f)
-    assert r["residual"] < 1e-10
-    assert abs(sum(r["parts"]) - r["total_integral_term"]) \
-        < 1e-10 * abs(r["total_integral_term"])
-    assert r["threshold"] > 0
-
-
-def test_omega_decomposition_low_region_dominates(grid256):
-    """The threshold level sits above the spectrogram supremum, so the low
-    region carries the whole integral term, and the split is invariant
-    under rescaling the signal."""
-    f = gaussian_window(grid256)
-    r = o.omega_decomposition(f)
-    assert r["parts"][0] == r["total_integral_term"]
-    assert r["parts"][1] == 0.0 and r["parts"][2] == 0.0
-    r2 = o.omega_decomposition(o.Field(grid256, 3.0 * f.values))
-    assert r2["parts"][1] == 0.0 and r2["parts"][2] == 0.0
-
-
 def test_continuity_probe_amplitude_scaling(grid128):
     f = gaussian_window(grid128)
     direction = o.make_hermite(grid128, 2)

@@ -129,11 +129,6 @@ def test_continuity_hypotheses_rejects_exponent_gap():
     assert not gate["passed"]
 
 
-def test_wigner_hypotheses_special_case():
-    q2 = YoungFunction.power(2)
-    assert o.check_wigner_hypotheses(2.0, 2.0, q2, q2, q2, q2)["passes"]
-
-
 def test_lower_growth_check_power():
     r = o.lower_growth_check(YoungFunction.power(3), 3.0, 0.5)
     assert r["bounded"]

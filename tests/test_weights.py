@@ -1,12 +1,6 @@
 import numpy as np
-import pytest
 
 from orlicztf import Weight
-from orlicztf.weights import (
-    check_moderate,
-    check_pseudo_weight_condition,
-    check_wigner_weight_condition,
-)
 
 PTS = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 0.0]])  # three 2-d points, rows
 
@@ -30,67 +24,3 @@ def test_exponential_positive_and_radial():
     assert np.all(vals >= 1.0)
     flipped = w.evaluate(-PTS)
     assert np.allclose(vals, flipped, rtol=1e-12)
-
-
-def test_dict_round_trip():
-    for w in (Weight.constant_one(), Weight.polynomial(3.0),
-              Weight.exponential(0.25)):
-        back = Weight.from_dict(w.to_dict())
-        assert np.allclose(back.evaluate(PTS), w.evaluate(PTS), rtol=1e-12)
-
-
-def test_product_weight_splits_axes():
-    w = Weight.product([(Weight.polynomial(2.0), (0,)),
-                        (Weight.exponential(1.0), (1,))])
-    got = w.evaluate(PTS)
-    ref = (Weight.polynomial(2.0).evaluate(PTS[:, :1])
-           * Weight.exponential(1.0).evaluate(PTS[:, 1:]))
-    assert np.allclose(got, ref, rtol=1e-12)
-
-
-def test_polynomial_moderate_with_respect_to_itself():
-    w = Weight.polynomial(2.0)
-    r = check_moderate(w, w)
-    assert r["moderate"]
-    assert r["constant"] >= 1.0
-
-
-def test_polynomial_not_moderate_with_respect_to_flat():
-    r = check_moderate(Weight.polynomial(2.0), Weight.constant_one())
-    assert not r["moderate"]
-
-
-def test_exponential_moderate_pair():
-    e = Weight.exponential(0.5)
-    r = check_moderate(e, e)
-    assert r["moderate"]
-    assert r["constant"] <= 1.0 + 1e-9
-
-
-def test_custom_weight():
-    w = Weight.custom(lambda z: 1.0 + np.sum(np.abs(z), axis=-1))
-    got = w.evaluate(PTS)
-    assert np.allclose(got, 1.0 + np.sum(np.abs(PTS), axis=-1))
-
-
-def test_pseudo_weight_condition_flat_triple():
-    one = Weight.constant_one()
-    r = check_pseudo_weight_condition(one, one, one, t=0.5)
-    assert r["bounded"]
-    assert abs(r["constant"] - 1.0) < 1e-12
-
-
-def test_pseudo_weight_condition_detects_growth():
-    poly = Weight.polynomial(4.0)
-    one = Weight.constant_one()
-    r = check_pseudo_weight_condition(one, poly, one, t=0.0)
-    assert r["constant"] <= 1.0 + 1e-12  # denominator only helps
-    r2 = check_pseudo_weight_condition(one, one, poly, t=0.0)
-    assert not r2["bounded"]
-
-
-def test_wigner_weight_condition_flat_triple():
-    one = Weight.constant_one()
-    r = check_wigner_weight_condition(one, one, one, t=0.5)
-    assert r["bounded"]
-    assert abs(r["constant"] - 1.0) < 1e-12
