@@ -469,6 +469,17 @@ def _nonnegative(text: str) -> float:
     return x
 
 
+def _at_least_one(text: str) -> int:
+    """A count argument: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="orlicztf",
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--L", type=float, default=12.0, help="half extent")
     common.add_argument("--d", type=int, default=1, help="dimension")
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--trials", type=int, default=100)
+    common.add_argument("--trials", type=_at_least_one, default=100)
     common.add_argument("--tol", type=float, default=None,
                         help="override the default tolerance")
     common.add_argument("--out", type=str, default=None,

@@ -83,8 +83,7 @@ def family_grid(lambdas) -> Grid:
     return make_grid(n, L)
 
 
-def gaussian_family_scan(lambdas, window: Field | None = None,
-                         grid: Grid | None = None) -> dict:
+def gaussian_family_scan(lambdas) -> dict:
     """Entropy of the normalized Gaussians f_lambda across a lambda list.
 
     Alongside each E(lambda) the scan fits the model
@@ -94,9 +93,9 @@ def gaussian_family_scan(lambdas, window: Field | None = None,
     lambdas = [float(l) for l in lambdas]
     if any(l <= 0 for l in lambdas):
         raise ValueError("lambda must be positive")
-    g = grid if grid is not None else family_grid(lambdas)
+    g = family_grid(lambdas)
     d = g.dimension
-    phi = window if window is not None else _default_window(g)
+    phi = _default_window(g)
 
     def one(lam: float) -> dict:
         with warnings.catch_warnings():
@@ -133,15 +132,14 @@ def lieb_bound_check(f: Field, window: Field | None = None) -> dict:
 
 
 def continuity_probe(f: Field, direction: Field, amplitudes,
-                     space: ModulationSpaceSpec = _MPHI,
-                     window: Field | None = None) -> dict:
+                     space: ModulationSpaceSpec = _MPHI) -> dict:
     """Perturb f along a direction and tabulate the entropy response.
 
     For each amplitude eps the row carries |eps g| in the norm of `space`
     (default M^Phi) and |E(f + eps g) - E(f)|; the fitted constant bounds
     the response by n^2 (1 + |log n|) in that norm.
     """
-    phi = window if window is not None else _default_window(f.grid)
+    phi = _default_window(f.grid)
     base = entropy(f, phi).value
     rows = []
     fitted = 0.0
@@ -158,12 +156,11 @@ def continuity_probe(f: Field, direction: Field, amplitudes,
             "fitted_constant": fitted}
 
 
-def lambda_family_table(lambdas, window: Field | None = None,
-                        grid: Grid | None = None) -> list:
+def lambda_family_table(lambdas, grid: Grid | None = None) -> list:
     """Rows (lambda, entropy, M2 norm, MPhi norm) for the Gaussian family."""
     lambdas = [float(l) for l in lambdas]
     g = grid if grid is not None else family_grid(lambdas)
-    phi = window if window is not None else _default_window(g)
+    phi = _default_window(g)
     rows = []
     for lam in lambdas:
         with warnings.catch_warnings():

@@ -29,8 +29,8 @@ class Axis:
     def __post_init__(self):
         if self.n <= 0 or self.n % 2 != 0:
             raise ValueError("axis point count must be positive and even")
-        if not (self.half_extent > 0):
-            raise ValueError("axis half-extent must be positive")
+        if not (0 < self.half_extent < math.inf):
+            raise ValueError("axis half-extent must be finite and positive")
 
     @property
     def spacing(self) -> float:

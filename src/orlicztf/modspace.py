@@ -3,9 +3,10 @@ hypothesis checkers for the boundedness results.
 
 The M flavor integrates the x-axes of the STFT first, then the xi-axes; the
 W flavor swaps the stage order.  When both stages carry the same Young
-function and the weight is flat, the two-stage norm is replaced by the joint
-one-stage norm, making the symmetric identities (same-function stage
-collapse, flavor irrelevance) exact rather than approximate.
+function, the norm is the joint one-stage Luxemburg norm on phase space, so
+the flavor does not matter.  For powers this equals the iterated two-stage
+norm.  For other functions it does not: the iterated norm, which
+`orlicztf norm mixed` computes, is a different number.
 
 Growth comparisons "near the origin" are decided on a 60-point geometric
 grid in (1e-8, r], with a refinement pass toward 1e-16: a ratio counts as
@@ -18,14 +19,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .field import Field, l2_norm, make_gaussian
 from .orlicz import MixedNormSpec, mixed_norm
 from .tfa import stft
-from .weights import Weight
 from .young import YoungFunction, check_delta2, check_p_steered, closed_power_form
 
 
@@ -33,24 +33,24 @@ from .young import YoungFunction, check_delta2, check_p_steered, closed_power_fo
 class ModulationSpaceSpec:
     phi: YoungFunction
     psi: YoungFunction
-    weight: Weight = dc_field(default_factory=Weight.constant_one)
     flavor: str = "M"
-    window: Field | None = None
 
     def __post_init__(self):
         if self.flavor not in ("M", "W"):
             raise ValueError("flavor must be 'M' or 'W'")
 
     def stages_for(self, d: int) -> MixedNormSpec:
+        """The stage list; one joint stage when phi == psi, which is the
+        iterated norm only for powers (see the module docstring)."""
         x_axes = tuple(range(d))
         xi_axes = tuple(range(d, 2 * d))
-        if self.phi == self.psi and self.weight.is_constant_one:
+        if self.phi == self.psi:
             stages = ((x_axes + xi_axes, self.phi),)
         elif self.flavor == "M":
             stages = ((x_axes, self.phi), (xi_axes, self.psi))
         else:
             stages = ((xi_axes, self.psi), (x_axes, self.phi))
-        return MixedNormSpec(stages, self.weight)
+        return MixedNormSpec(stages)
 
 
 def phase_field_norm(F: Field, spec: ModulationSpaceSpec) -> float:
@@ -61,8 +61,6 @@ def phase_field_norm(F: Field, spec: ModulationSpaceSpec) -> float:
 
 def modulation_norm(f: Field, spec: ModulationSpaceSpec, window: Field | None = None) -> float:
     """Norm of the STFT of f in the requested mixed Orlicz space."""
-    if window is None:
-        window = spec.window
     if window is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import Field
+from .field import Field, make_grid
 from .weights import Weight
 from .young import YoungFunction, _gauge_level, closed_power_form
 
@@ -63,7 +63,8 @@ def _conjugate_table(phi: YoungFunction):
 def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     """Row-wise Luxemburg norms of the nonnegative matrix a with scalar
     quadrature weight w: closed form for the power family, else the
-    Illinois root finder on the log-gauge in log lambda, to a few ulps."""
+    Illinois root finder on the log-gauge in log lambda, to a few ulps.
+    A row with a NaN entry has norm NaN, else one with an inf entry inf."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
@@ -71,9 +72,10 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     else:
         squeeze = False
 
-    out = np.zeros(a.shape[0])
     mx = a.max(axis=1) if a.shape[1] else np.zeros(a.shape[0])
-    live = mx > 0
+    # the row max is NaN or inf exactly when the norm is
+    out = np.where(np.isfinite(mx), 0.0, mx)
+    live = (mx > 0) & (mx < np.inf)
 
     cp = closed_power_form(phi)
     if cp is not None:
@@ -175,7 +177,7 @@ def _random_rows(rng, trials, n):
 
 
 def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
-                  trials: int = 1000, seed: int = 42, grid=None) -> dict:
+                  trials: int = 1000, seed: int = 42) -> dict:
     """Empirical check of the product inequality
 
         |f1 f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2}
@@ -184,9 +186,7 @@ def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
     inverse-product comparison, or the pointwise two-variable sum bound
     (the latter is what conjugate pairs satisfy exactly).
     """
-    from .field import make_grid
-
-    grid = grid or make_grid()
+    grid = make_grid()
     n = grid.shape[0]
     w = grid.weight
 
@@ -230,13 +230,11 @@ def _conv_inverse_ok(phi0, phi1, phi2) -> bool:
 
 def verify_young_convolution(phi0: YoungFunction, phi1: YoungFunction,
                              phi2: YoungFunction, trials: int = 1000,
-                             seed: int = 42, grid=None) -> dict:
+                             seed: int = 42) -> dict:
     """Empirical check of |f1 * f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2} for
     periodic Riemann-sum convolution, with supports confined to the middle
     half of the axis so the circular convolution agrees with the real one."""
-    from .field import make_grid
-
-    grid = grid or make_grid()
+    grid = make_grid()
     n = grid.shape[0]
     w = grid.weight
     x = grid.axes[0].points

@@ -27,7 +27,7 @@ from .field import (
     phase_grid,
 )
 from .modspace import ModulationSpaceSpec, modulation_norm
-from .tfa import QuantizationMatrix, _shifted, _split_phase, as_quantization, quantization_change
+from .tfa import _shifted, _split_phase, as_quantization, quantization_change
 from .young import closed_power_form
 
 
@@ -36,7 +36,6 @@ class KernelMatrix:
     """Discrete kernel: entries K[j, m] with quadrature weight Delta^d on m."""
 
     grid: Grid
-    A: QuantizationMatrix
     matrix: np.ndarray
 
     def apply_to(self, f: Field) -> Field:
@@ -58,7 +57,7 @@ def kernel(a: Field, A) -> KernelMatrix:
     j = np.arange(n)[:, None]
     m = np.arange(n)[None, :]
     K = S[j, (j - m + n // 2) % n]
-    return KernelMatrix(base, A, (2.0 * math.pi) ** -0.5 * K)
+    return KernelMatrix(base, (2.0 * math.pi) ** -0.5 * K)
 
 
 def apply(a: Field, A, f: Field) -> Field:
@@ -80,26 +79,30 @@ def calculi_consistency(a: Field, A1, A2, f: Field) -> dict:
 # -- symbol norms at reduced resolution ----------------------------------------
 
 
-def reduce_symbol(a: Field, target_n: int = 32) -> Field:
-    """Restrict a phase field to the N=target_n central window.
+_REDUCED_N = 32
 
-    The x-axis keeps every (N / target_n)-th sample, which is exactly the
+
+def reduce_symbol(a: Field) -> Field:
+    """Restrict a phase field to the N=_REDUCED_N central window.
+
+    The x-axis keeps every (N / _REDUCED_N)-th sample, which is exactly the
     coarser grid with the same extent; the xi-axis keeps the central
-    target_n bins, whose spacing does not depend on N.  The result therefore
-    samples the same underlying function regardless of the original N, so
-    quantities computed from it can be compared across resolutions.
+    _REDUCED_N bins, whose spacing does not depend on N.  The result
+    therefore samples the same underlying function regardless of the
+    original N, so quantities computed from it can be compared across
+    resolutions.
     """
     d, base = _split_phase(a)
     if d != 1:
         raise ValueError("symbol reduction expects a 1-d base grid")
     n = base.axes[0].n
-    if n % target_n != 0:
-        raise ValueError(f"N must be divisible by {target_n}")
-    stride = n // target_n
-    lo = n // 2 - target_n // 2
-    hi = n // 2 + target_n // 2
+    if n % _REDUCED_N != 0:
+        raise ValueError(f"N must be divisible by {_REDUCED_N}")
+    stride = n // _REDUCED_N
+    lo = n // 2 - _REDUCED_N // 2
+    hi = n // 2 + _REDUCED_N // 2
     vals = a.values[::stride, lo:hi]
-    small = phase_grid(Grid((Axis(target_n, base.axes[0].half_extent),)))
+    small = phase_grid(Grid((Axis(_REDUCED_N, base.axes[0].half_extent),)))
     return Field(small, vals)
 
 
@@ -110,12 +113,7 @@ def symbol_norm(a: Field, space: ModulationSpaceSpec) -> float:
 
 
 def _is_flat_l2(spec: ModulationSpaceSpec) -> bool:
-    return (
-        closed_power_form(spec.phi) == (1.0, 2.0)
-        and closed_power_form(spec.psi) == (1.0, 2.0)
-        and spec.weight.is_constant_one
-        and spec.window is None
-    )
+    return closed_power_form(spec.phi) == closed_power_form(spec.psi) == (1.0, 2.0)
 
 
 def estimate_operator_norm(a: Field, A, domain: ModulationSpaceSpec,

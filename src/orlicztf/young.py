@@ -7,8 +7,8 @@ Phi0) are supported for evaluation and norms but cannot be conjugated.
 
 Built-in kinds:
 
-    power(p)         t^p                      (quasi-Young for p < 1)
-    power_scaled(p)  t^p / p
+    power(p, s)      t^p / s, with s = 1 from power(p) (quasi-Young for
+                     p < 1) and s = p from power_scaled(p)
     cap(a)           0 on [0, a], inf beyond
     entropy          -t^2 log t up to the inflection exp(-3/2), then its
                      tangent line 2 exp(-3/2) t - exp(-3)/2
@@ -17,6 +17,12 @@ Built-in kinds:
     table            convex piecewise-linear interpolant of sorted knots,
                      continued past the last knot with a declared tail slope
     conjugate        Legendre transform of the YoungFunction params["base"]
+
+Each function's landmarks are set once, when it is made: the zero point t1
+and the finiteness point t2, the slopes at 0 and at the right end, the
+intercept of a linear tail, sup Phi on [0, t2) and the closed power form.
+A conjugate takes its base's landmarks swapped: t1* = Phi'(0+) and
+t2* = Phi'(inf), and back (Rao and Ren, Theory of Orlicz Spaces, ch. I-II).
 
 The entropy kind is the convexification of -t^2 log t with a tangent
 continuation at the inflection point: the raw curve stops being convex at
@@ -36,21 +42,14 @@ ENTROPY_SPLICE = math.exp(-1.5)
 ENTROPY_SLOPE = 2.0 * math.exp(-1.5)
 ENTROPY_INTERCEPT = 0.5 * math.exp(-3.0)
 
-_KINDS = (
-    "power",
-    "power_scaled",
-    "cap",
-    "entropy",
-    "tan_example",
-    "log_example",
-    "table",
-    "conjugate",
-)
-
 
 def _as_array(t):
     a = np.asarray(t, dtype=float)
     return a, (a.ndim == 0)
+
+
+def _landmark():
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,26 +59,47 @@ class YoungFunction:
     kind: str
     params: dict = field(default_factory=dict)
     quasi_order: float = 1.0
+    _t1: float = _landmark()
+    _t2: float = _landmark()
+    _slope0: float = _landmark()
+    _slope_end: float = _landmark()
+    _intercept: float = _landmark()  # lim (slope_end s - Phi(s)); nan without a linear tail
+    _top: float = _landmark()  # sup Phi on [0, t2); None when only evaluation tells
+    _power_form: tuple = _landmark()  # (c, p) when Phi(t) = c t^p, else None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown Young function kind: {self.kind!r}")
         if not (0.0 < self.quasi_order <= 1.0):
             raise ValueError("quasi_order must lie in (0, 1]")
-        if self.kind in ("power", "power_scaled"):
-            p = self.params.get("p")
+        k, inf = self.kind, math.inf
+        marks = {"_t1": 0.0, "_t2": inf, "_slope0": 0.0, "_slope_end": inf,
+                 "_intercept": math.nan, "_top": inf, "_power_form": None}
+        if k == "power":
+            p, s = self.params.get("p"), self.params.get("s", 1.0)
             if p is None or p <= 0:
                 raise ValueError("power kinds need p > 0")
-        elif self.kind == "cap":
+            # p > 1 keeps the default slopes, 0 at 0 and inf at the end
+            if p == 1.0:
+                marks.update(_slope0=1.0 / s, _slope_end=1.0 / s, _intercept=0.0)
+            elif p < 1.0:
+                marks.update(_slope0=inf, _slope_end=0.0)
+            marks["_power_form"] = (1.0 / s, p)
+        elif k == "cap":
             a = self.params.get("a")
             if a is None or a <= 0:
                 raise ValueError("cap needs a > 0")
-        elif self.kind == "table":
+            marks.update(_t1=a, _t2=a, _top=0.0)
+        elif k == "entropy":
+            marks.update(_slope_end=ENTROPY_SLOPE, _intercept=ENTROPY_INTERCEPT)
+        elif k == "tan_example":
+            marks.update(_t2=math.pi / 2, _slope0=1.0)
+        elif k == "log_example":
+            marks.update(_t2=1.0)
+        elif k == "table":
             knots = self.params.get("knots")
             if not knots or list(knots[0]) != [0.0, 0.0]:
                 raise ValueError("table needs knots starting at (0, 0)")
-            ts = [k[0] for k in knots]
-            vs = [k[1] for k in knots]
+            ts = [kn[0] for kn in knots]
+            vs = [kn[1] for kn in knots]
             if sorted(ts) != ts or len(set(ts)) != len(ts):
                 raise ValueError("table knots must have strictly increasing t")
             slopes = [
@@ -87,12 +107,31 @@ class YoungFunction:
             ]
             if any(s2 < s1 - 1e-12 for s1, s2 in zip(slopes, slopes[1:])):
                 raise ValueError("table knots are not convex")
-            tail = self.params.get("tail_slope", math.inf)
+            tail = self.params.get("tail_slope", inf)
             if slopes and tail < slopes[-1] - 1e-12:
                 raise ValueError("tail slope breaks convexity")
-        elif self.kind == "conjugate":
-            if "base" not in self.params:
+            nonzero = [i for i, v in enumerate(vs) if v != 0.0]
+            marks.update(_t1=ts[nonzero[0] - 1] if nonzero else ts[-1],
+                         _slope0=slopes[0] if slopes else tail, _slope_end=tail,
+                         _intercept=tail * ts[-1] - vs[-1])
+            if math.isinf(tail):
+                marks.update(_t2=ts[-1], _top=vs[-1])
+        elif k == "conjugate":
+            base = self.params.get("base")
+            if base is None:
                 raise ValueError("conjugate kind needs a base function")
+            marks.update(_t1=base._slope0, _t2=base._slope_end, _slope0=base._t1,
+                         _slope_end=base._t2)
+            if math.isfinite(base._slope_end):
+                marks["_top"] = None
+            if base._power_form is not None and base._power_form[1] > 1.0:
+                c, p = base._power_form
+                pp = p / (p - 1.0)
+                marks["_power_form"] = ((c * p) ** (-pp / p) / pp, pp)
+        else:
+            raise ValueError(f"unknown Young function kind: {k!r}")
+        for name, value in marks.items():
+            object.__setattr__(self, name, value)
 
     # -- constructors ------------------------------------------------------
 
@@ -103,8 +142,9 @@ class YoungFunction:
 
     @staticmethod
     def power_scaled(p: float) -> "YoungFunction":
+        """t^p / p: the power kind with divisor s = p."""
         q = p if p < 1.0 else 1.0
-        return YoungFunction("power_scaled", {"p": float(p)}, quasi_order=q)
+        return YoungFunction("power", {"p": float(p), "s": float(p)}, quasi_order=q)
 
     @staticmethod
     def cap(a: float = 1.0) -> "YoungFunction":
@@ -133,111 +173,26 @@ class YoungFunction:
 
     def zero_point(self) -> float:
         """t1 = sup of the zero set {t : Phi(t) = 0}."""
-        k = self.kind
-        if k == "cap":
-            return self.params["a"]
-        if k == "table":
-            knots = self.params["knots"]
-            t1 = 0.0
-            for t, v in knots:
-                if v == 0.0:
-                    t1 = t
-                else:
-                    break
-            return t1
-        if k == "conjugate":
-            return self.params["base"].inf_slope()
-        return 0.0
+        return self._t1
 
     def infinity_point(self) -> float:
         """t2 = sup of the finiteness set {t : Phi(t) < inf}."""
-        k = self.kind
-        if k == "cap":
-            return self.params["a"]
-        if k == "tan_example":
-            return math.pi / 2
-        if k == "log_example":
-            return 1.0
-        if k == "table":
-            if math.isinf(self.params.get("tail_slope", math.inf)):
-                return self.params["knots"][-1][0]
-            return math.inf
-        if k == "conjugate":
-            return self.params["base"].sup_slope()
-        return math.inf
+        return self._t2
 
     def sup_value(self) -> float:
         """s0 = sup of Phi over [0, t2)."""
-        t2 = self.infinity_point()
-        if math.isinf(t2):
-            return math.inf
-        if self.kind == "cap":
-            return 0.0
-        if self.kind == "tan_example":
-            return math.inf
-        if self.kind == "log_example":
-            return math.inf
-        if self.kind == "table":
-            return self.params["knots"][-1][1]
-        # conjugate with finite jump point: limit from the left
-        v = float(self.evaluate(np.nextafter(t2, 0.0)))
-        return v
+        if self._top is not None:
+            return self._top
+        # a conjugate with a finite jump point: the limit from the left
+        return float(self.evaluate(np.nextafter(self._t2, 0.0)))
 
     def inf_slope(self) -> float:
         """Right derivative at 0 (the zero point of the conjugate)."""
-        k = self.kind
-        if k == "power":
-            p = self.params["p"]
-            return 0.0 if p > 1 else (1.0 if p == 1 else math.inf)
-        if k == "power_scaled":
-            p = self.params["p"]
-            return 0.0 if p > 1 else 1.0
-        if k == "cap":
-            return 0.0
-        if k == "entropy":
-            return 0.0
-        if k == "tan_example":
-            return 1.0
-        if k == "log_example":
-            return 0.0
-        if k == "table":
-            knots = self.params["knots"]
-            if len(knots) >= 2:
-                return (knots[1][1] - knots[0][1]) / (knots[1][0] - knots[0][0])
-            return self.params.get("tail_slope", math.inf)
-        if k == "conjugate":
-            return self.params["base"].zero_point()
-        raise AssertionError(k)
+        return self._slope0
 
     def sup_slope(self) -> float:
         """Limiting slope at the right end (the jump point of the conjugate)."""
-        k = self.kind
-        if k in ("power", "power_scaled"):
-            p = self.params["p"]
-            return math.inf if p > 1 else 1.0
-        if k == "cap":
-            return math.inf
-        if k == "entropy":
-            return ENTROPY_SLOPE
-        if k in ("tan_example", "log_example"):
-            return math.inf
-        if k == "table":
-            tail = self.params.get("tail_slope", math.inf)
-            return tail
-        if k == "conjugate":
-            return self.params["base"].infinity_point()
-        raise AssertionError(k)
-
-    def _tail_intercept(self) -> float:
-        """lim (sup_slope * s - Phi(s)) for kinds with a linear tail."""
-        if self.kind == "entropy":
-            return ENTROPY_INTERCEPT
-        if self.kind == "table":
-            tL, vL = self.params["knots"][-1]
-            return self.sup_slope() * tL - vL
-        if self.kind in ("power", "power_scaled") and self.params["p"] == 1.0:
-            return 0.0
-        return math.nan
+        return self._slope_end
 
     # -- evaluation --------------------------------------------------------
 
@@ -251,13 +206,8 @@ class YoungFunction:
         k = self.kind
         t = np.asarray(t, dtype=float)
         if k == "power":
-            p = self.params["p"]
             with np.errstate(over="ignore"):
-                return np.power(t, p)
-        if k == "power_scaled":
-            p = self.params["p"]
-            with np.errstate(over="ignore"):
-                return np.power(t, p) / p
+                return np.power(t, self.params["p"]) / self.params.get("s", 1.0)
         if k == "cap":
             a = self.params["a"]
             return np.where(t <= a, 0.0, np.inf)
@@ -305,11 +255,7 @@ class YoungFunction:
         if k == "power":
             p = self.params["p"]
             with np.errstate(over="ignore", divide="ignore"):
-                return p * np.power(t, p - 1.0)
-        if k == "power_scaled":
-            p = self.params["p"]
-            with np.errstate(over="ignore", divide="ignore"):
-                return np.power(t, p - 1.0)
+                return p / self.params.get("s", 1.0) * np.power(t, p - 1.0)
         if k == "cap":
             return np.where(t < self.params["a"], 0.0, np.inf)
         if k == "entropy":
@@ -353,13 +299,12 @@ class YoungFunction:
         if self.quasi_order < 1.0:
             raise ValueError("conjugate of a quasi-Young function (order < 1) is undefined")
         k = self.kind
-        if k == "power" and self.params["p"] == 1.0:
-            return YoungFunction.cap(1.0)
-        if k == "power_scaled":
-            p = self.params["p"]
-            if p == 1.0:
+        if k == "power":
+            p, s = self.params["p"], self.params.get("s", 1.0)
+            if p == 1.0 and s == 1.0:
                 return YoungFunction.cap(1.0)
-            return YoungFunction.power_scaled(p / (p - 1.0))
+            if s == p:
+                return YoungFunction.power_scaled(p / (p - 1.0))
         if k == "cap" and self.params["a"] == 1.0:
             return YoungFunction.power(1.0)
         return YoungFunction("conjugate", {"base": self})
@@ -575,7 +520,7 @@ def _conjugate_eval(base: YoungFunction, t: np.ndarray) -> np.ndarray:
         out[t > ss] = np.inf
         at_edge = t == ss
         if np.any(at_edge):
-            c = base._tail_intercept()
+            c = base._intercept
             out[at_edge] = c if math.isfinite(c) else np.inf
     return out
 
@@ -583,24 +528,10 @@ def _conjugate_eval(base: YoungFunction, t: np.ndarray) -> np.ndarray:
 def closed_power_form(phi: YoungFunction):
     """(c, p) when Phi(t) = c t^p exactly, else None.
 
-    Covers the power kinds and conjugates of such (iterated conjugation
+    Covers the power kind and conjugates of such (iterated conjugation
     included), so norm code can bypass the root finder for the whole family.
     """
-    if phi.kind == "power":
-        return 1.0, phi.params["p"]
-    if phi.kind == "power_scaled":
-        p = phi.params["p"]
-        return 1.0 / p, p
-    if phi.kind == "conjugate":
-        base = closed_power_form(phi.params["base"])
-        if base is None:
-            return None
-        c, p = base
-        if p <= 1.0:
-            return None
-        pp = p / (p - 1.0)
-        return (c * p) ** (-pp / p) / pp, pp
-    return None
+    return phi._power_form
 
 
 # -- growth classification ---------------------------------------------------
@@ -609,16 +540,17 @@ def closed_power_form(phi: YoungFunction):
 def check_delta2(phi: YoungFunction, scope: str = "global", radius: float | None = None) -> dict:
     """Doubling condition Phi(2t) <= C Phi(t), globally or on (0, radius].
 
-    Power kinds are answered in closed form (C = 2^p).  Everything else is a
-    grid sup with a refinement-stability criterion: the reported constant is
-    the sup over a geometric grid, and "holds" additionally requires the sup
-    not to grow when the grid is pushed toward zero (and infinity, in global
-    scope).
+    Power kinds are answered in closed form (C = 2^p), and a finite jump
+    point fails the global condition.  Everything else is a grid sup with a
+    refinement-stability criterion: the reported constant is the sup over a
+    geometric grid, and "holds" additionally requires the sup not to grow
+    when the grid is pushed toward zero (and infinity, in global scope).
+    The grid runs past t2 / 2, so it sees where Phi(2t) jumps to inf.
     """
     if scope not in ("global", "local"):
         raise ValueError("scope must be 'global' or 'local'")
-    if scope == "local" and (radius is None or radius <= 0):
-        raise ValueError("local scope needs a positive radius")
+    if scope == "local" and not (radius is not None and 0 < radius < math.inf):
+        raise ValueError("local scope needs a finite positive radius")
 
     cp = closed_power_form(phi)
     if cp is not None:
@@ -640,28 +572,16 @@ def check_delta2(phi: YoungFunction, scope: str = "global", radius: float | None
             "radius": radius,
             "method": "analytic",
         }
-    if phi.kind == "cap":
-        a = phi.params["a"]
-        holds = radius < a / 2
-        return {
-            "holds": holds,
-            "constant": 1.0 if holds else math.inf,
-            "scope": scope,
-            "radius": radius,
-            "method": "analytic",
-        }
-
     upper = radius if scope == "local" else 1e8
-    if math.isfinite(t2):
-        upper = min(upper, t2 / 2)
 
     def grid_sup(lo, n):
         ts = np.geomspace(lo, upper, n)
         num = phi._eval_array(2.0 * ts)
         den = phi._eval_array(ts)
-        ok = den > 0
-        if np.any(~ok & (num > 0)):
+        if np.any((den == 0) & (num > 0)):
             return math.inf
+        # where Phi(t) = inf the condition holds with any C
+        ok = (den > 0) & (den < math.inf)
         if not np.any(ok):
             return 1.0
         return float(np.max(num[ok] / den[ok]))
@@ -686,6 +606,8 @@ def check_p_steered(phi: YoungFunction, p: float, radius: float = 0.5) -> dict:
     """
     if p <= 0 or not math.isfinite(p):
         raise ValueError("steering exponent must be finite and positive")
+    if not (0 < radius < math.inf):
+        raise ValueError("steering radius must be finite and positive")
     cp = closed_power_form(phi)
     if cp is not None:
         # c t^pe: the ratio to t^p diverges iff pe < p, and t^(pe/p) is

@@ -122,6 +122,23 @@ def test_usage_errors_exit_two(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and repr(spec) in err
+    for argv, message in (
+            (["norm", "luxemburg", "--input", "gaussian:1", "--N", "16", "--L", "inf"],
+             "half-extent must be finite and positive"),
+            (["verify", "moyal", "--trials", "0"], "must be an integer >= 1"),
+            (["verify", "moyal", "--trials", "-3"], "must be an integer >= 1"),
+            (["verify", "holder", "--trials", "0"], "must be an integer >= 1"),
+            (["psido", "opnorm", "--symbol", "mix:5", "--trials", "-3"],
+             "must be an integer >= 1"),
+            (["young", "classify", "--kind", "entropy", "--radius", "nan"],
+             "finite positive radius"),
+            (["young", "classify", "--kind", "entropy", "--radius", "inf"],
+             "finite positive radius")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
 
 
 def test_twisted_needs_second_input(tmp_path, capsys):

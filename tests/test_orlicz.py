@@ -201,3 +201,19 @@ def test_root_finder_raises_at_its_cap(monkeypatch):
     rows = np.abs(np.random.default_rng(6).standard_normal((4, 32)))
     with pytest.raises(RuntimeError, match="did not converge"):
         orlicz._luxemburg_batch(rows, 0.25, YoungFunction.entropy())
+
+
+@pytest.mark.parametrize("phi", [
+    YoungFunction.power(2), YoungFunction.entropy(), YoungFunction.log_example(),
+    YoungFunction.entropy().conjugate(), YoungFunction.cap(1.0),
+], ids=["power2", "entropy", "log_example", "conjugate:entropy", "cap1"])
+def test_non_finite_rows(phi):
+    """A NaN entry makes the norm NaN, else an inf entry makes it inf; the
+    finite rows beside them keep their values."""
+    rows = np.array([[1.0, np.inf, 0.5], [1.0, np.nan, 0.5], [np.inf, np.nan, 0.0],
+                     [1.0, 0.5, 0.25], [0.0, 0.0, 0.0]])
+    got = orlicz._luxemburg_batch(rows, 0.4, phi)
+    assert got[0] == np.inf and np.isnan(got[1]) and np.isnan(got[2])
+    assert got[3] == orlicz._luxemburg_batch(rows[3], 0.4, phi) > 0.0
+    assert got[4] == 0.0
+    assert np.isnan(orlicz._luxemburg_batch(rows[1], 0.4, phi))

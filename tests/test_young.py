@@ -142,6 +142,85 @@ def test_landmark_points():
     assert YoungFunction.power(2).zero_point() == 0.0
 
 
+def test_equality_ignores_landmarks():
+    """== compares kind, parameters and order only, so power_scaled(1) and
+    power(1) stay apart although both are t."""
+    assert YoungFunction.entropy().conjugate() == YoungFunction.entropy().conjugate()
+    assert YoungFunction.power_scaled(2) == YoungFunction.power_scaled(2.0)
+    assert YoungFunction.power_scaled(1) != YoungFunction.power(1)
+    assert YoungFunction.power(2) != YoungFunction.power_scaled(2)
+
+
+def test_doubling_sees_past_half_the_jump_point():
+    """Local doubling on (0, r] fails once Phi(2t) = inf while Phi(t) is
+    finite; for cap(a) at r = a/2 it holds, since Phi(2t) = 0 there."""
+    r = check_delta2(YoungFunction.cap(1.0), "local", 0.5)
+    assert r["holds"] and r["constant"] == 1.0
+    assert not check_delta2(YoungFunction.cap(1.0), "local", 0.6)["holds"]
+    # the conjugate of entropy jumps to inf at t2 = 2 exp(-3/2) = 0.446
+    conj = YoungFunction.entropy().conjugate()
+    assert 0.0 < conj.evaluate(0.4) < math.inf and conj.evaluate(0.8) == math.inf
+    assert not check_delta2(conj, "local", 0.5)["holds"]
+    assert check_delta2(conj, "local", 0.2)["holds"]
+    assert not check_delta2(YoungFunction.tan_example(), "local", 1.0)["holds"]
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan, None])
+def test_growth_checks_need_a_finite_positive_radius(radius):
+    phi = YoungFunction.entropy()
+    with pytest.raises(ValueError, match="radius"):
+        check_delta2(phi, "local", radius)
+    if radius is not None:
+        with pytest.raises(ValueError, match="radius"):
+            check_p_steered(phi, 2.0, radius)
+
+
+INF = math.inf
+E15 = math.exp(-1.5)
+# (t1, t2, Phi'(0+), Phi'(inf), sup Phi on [0, t2)), derived by hand
+LANDMARKS = {
+    "power0.5": (YoungFunction.power(0.5), (0.0, INF, INF, 0.0, INF)),
+    "power1": (YoungFunction.power(1), (0.0, INF, 1.0, 1.0, INF)),
+    "power2": (YoungFunction.power(2), (0.0, INF, 0.0, INF, INF)),
+    "power_scaled0.5": (YoungFunction.power_scaled(0.5), (0.0, INF, INF, 0.0, INF)),
+    "power_scaled1": (YoungFunction.power_scaled(1), (0.0, INF, 1.0, 1.0, INF)),
+    "power_scaled1.5": (YoungFunction.power_scaled(1.5), (0.0, INF, 0.0, INF, INF)),
+    "cap2": (YoungFunction.cap(2.0), (2.0, 2.0, 0.0, INF, 0.0)),
+    "entropy": (YoungFunction.entropy(), (0.0, INF, 0.0, 2 * E15, INF)),
+    "tan_example": (YoungFunction.tan_example(), (0.0, math.pi / 2, 1.0, INF, INF)),
+    "log_example": (YoungFunction.log_example(), (0.0, 1.0, 0.0, INF, INF)),
+    "table_finite_tail": (YoungFunction.table(
+        [(0, 0), (1, 0.5), (2, 2), (3, 5)], tail_slope=4.0), (0.0, INF, 0.5, 4.0, INF)),
+    "table_infinite_tail": (YoungFunction.table(
+        [(0, 0), (1, 0), (2, 1), (3, 5)]), (1.0, 3.0, 0.0, INF, 5.0)),
+}
+# sup Phi* on [0, t2*): the linear tail's intercept where Phi has one
+CONJUGATE_SUP = {"power1": 0.0, "power_scaled1": 0.0, "entropy": 0.5 * math.exp(-3.0),
+                 "table_finite_tail": 7.0}
+LANDMARKS.update({
+    "conjugate:" + name: (phi.conjugate(), (s0, s_end, t1, t2, CONJUGATE_SUP.get(name, INF)))
+    for name, (phi, (t1, t2, s0, s_end, _)) in LANDMARKS.items() if phi.quasi_order == 1.0})
+LANDMARKS["conjugate:conjugate:entropy"] = (
+    YoungFunction.entropy().conjugate().conjugate(), LANDMARKS["entropy"][1])
+
+
+def _landmarks(phi):
+    return (phi.zero_point(), phi.infinity_point(), phi.inf_slope(), phi.sup_slope(),
+            phi.sup_value())
+
+
+@pytest.mark.parametrize("name", sorted(LANDMARKS))
+def test_landmark_table(name):
+    phi, want = LANDMARKS[name]
+    got = _landmarks(phi)
+    assert got[:4] == pytest.approx(want[:4], rel=1e-15)
+    # a conjugate's sup on [0, t2) is evaluated just left of t2
+    assert got[4] == pytest.approx(want[4], rel=1e-9)
+    if phi.quasi_order == 1.0:
+        t1, t2, s0, s_end, _ = got
+        assert _landmarks(phi.conjugate())[:4] == (s0, s_end, t1, t2)
+
+
 # -- the root finder against the fixed-count bisections it replaced -----------
 
 def _argmax_by_bisection(base, t):
