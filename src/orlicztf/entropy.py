@@ -47,9 +47,9 @@ def _default_window(grid: Grid) -> Field:
 
 def _integral_term(S: np.ndarray, weight: float) -> np.ndarray:
     """Pointwise contributions -S log S, with values below the floor
-    contributing exactly zero."""
+    contributing exactly zero; a NaN value contributes NaN."""
     out = np.zeros_like(S)
-    mask = S > _FLOOR
+    mask = ~(S <= _FLOOR)
     out[mask] = -S[mask] * np.log(S[mask])
     return out * weight
 

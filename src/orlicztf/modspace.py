@@ -8,11 +8,13 @@ the flavor does not matter.  For powers this equals the iterated two-stage
 norm.  For other functions it does not: the iterated norm, which
 `orlicztf norm mixed` computes, is a different number.
 
-Growth comparisons "near the origin" are decided on a 60-point geometric
-grid in (1e-8, r], with a refinement pass toward 1e-16: a ratio counts as
-bounded only when the refined sup does not exceed the coarse sup by more
-than 25 percent.  Power-family inputs bypass the grids with exact exponent
-arithmetic.
+Every growth comparison "near the origin" (lower growth, inverse products,
+embeddings, and the local doubling of the hypothesis checkers) is one call
+of `young._compare_near_zero`.  When both sides are powers it answers by
+exponent arithmetic.  Otherwise it takes the sup of the ratio on one
+geometric grid, 120 points in [1e-16, r], and calls the ratio bounded only
+when that sup is finite and at most 25 percent above the sup on 60 points
+in [1e-8, r].
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .field import Field, l2_norm, make_gaussian
 from .orlicz import MixedNormSpec, mixed_norm
 from .tfa import stft
-from .young import YoungFunction, check_delta2, check_p_steered, closed_power_form
+from .young import (YoungFunction, _compare_near_zero, check_delta2, check_p_steered,
+                    closed_power_form)
 
 
 @dataclass(frozen=True)
@@ -69,36 +70,7 @@ def modulation_norm(f: Field, spec: ModulationSpaceSpec, window: Field | None = 
     return phase_field_norm(V, spec)
 
 
-# -- growth comparison machinery ----------------------------------------------
-
-
-def _grid_sup(num, den, lo: float, hi: float, n: int) -> float:
-    t = np.geomspace(lo, hi, n)
-    a = np.asarray(num(t), dtype=float)
-    b = np.asarray(den(t), dtype=float)
-    both_zero = (a == 0) & (b == 0)
-    a, b = a[~both_zero], b[~both_zero]
-    if a.size == 0:
-        return 0.0
-    if np.any((b == 0) & (a > 0)):
-        return math.inf
-    with np.errstate(over="ignore", divide="ignore"):
-        r = a / b
-    r = r[np.isfinite(a)]
-    return float(np.max(r)) if r.size else 0.0
-
-
-def _bounded_near_zero(num, den, r: float) -> dict:
-    """Trend verdict for sup num(t)/den(t) on (0, r]."""
-    coarse = _grid_sup(num, den, 1e-8, r, 60)
-    fine = _grid_sup(num, den, 1e-16, r, 120)
-    bounded = math.isfinite(fine) and fine <= 1.25 * coarse + 1e-300
-    return {
-        "bounded": bool(bounded),
-        "constant": fine,
-        "coarse_constant": coarse,
-        "grid": {"lo": 1e-8, "hi": r, "points": 60, "refined_lo": 1e-16},
-    }
+# -- growth comparisons near the origin ----------------------------------------
 
 
 def lower_growth_check(phi: YoungFunction, alpha: float, r: float) -> dict:
@@ -106,17 +78,8 @@ def lower_growth_check(phi: YoungFunction, alpha: float, r: float) -> dict:
     than t^alpha)?  Equivalent to boundedness of t^alpha / phi(t) on (0, r]."""
     if math.isinf(alpha):
         return {"bounded": True, "constant": 0.0, "method": "vacuous"}
-    cp = closed_power_form(phi)
-    if cp is not None:
-        ok = cp[1] <= alpha
-        return {
-            "bounded": bool(ok),
-            "constant": (r ** (alpha - cp[1])) / cp[0] if ok else math.inf,
-            "method": "analytic",
-        }
-    out = _bounded_near_zero(lambda t: t ** alpha, phi._eval_array, r)
-    out["method"] = "grid"
-    return out
+    return _compare_near_zero(lambda t: t ** alpha, phi._eval_array, r,
+                              ((1.0, alpha), closed_power_form(phi)))
 
 
 def inverse_product_check(phi_a: YoungFunction, phi_b: YoungFunction,
@@ -125,22 +88,13 @@ def inverse_product_check(phi_a: YoungFunction, phi_b: YoungFunction,
     if beta == 0.0:
         return {"bounded": True, "constant": 1.0, "method": "vacuous"}
     ca, cb = closed_power_form(phi_a), closed_power_form(phi_b)
+    product = None
     if ca is not None and cb is not None:
-        expo = 1.0 / ca[1] + 1.0 / cb[1]
-        ok = expo >= beta
-        const = ((1.0 / ca[0]) ** (1.0 / ca[1])) * ((1.0 / cb[0]) ** (1.0 / cb[1]))
-        return {
-            "bounded": bool(ok),
-            "constant": const * r ** (expo - beta) if ok else math.inf,
-            "method": "analytic",
-        }
-    out = _bounded_near_zero(
-        lambda s: phi_a._inverse_array(s) * phi_b._inverse_array(s),
-        lambda s: s ** beta,
-        r,
-    )
-    out["method"] = "grid"
-    return out
+        # the essential inverse of c t^p is (s / c)^(1/p)
+        product = (((1.0 / ca[0]) ** (1.0 / ca[1])) * ((1.0 / cb[0]) ** (1.0 / cb[1])),
+                   1.0 / ca[1] + 1.0 / cb[1])
+    return _compare_near_zero(lambda s: phi_a._inverse_array(s) * phi_b._inverse_array(s),
+                              lambda s: s ** beta, r, (product, (1.0, beta)))
 
 
 def check_embedding(phi1: YoungFunction, psi1: YoungFunction,
@@ -152,17 +106,8 @@ def check_embedding(phi1: YoungFunction, psi1: YoungFunction,
         raise ValueError("comparison radius must be positive")
 
     def compare(num_phi, den_phi):
-        cn, cd = closed_power_form(num_phi), closed_power_form(den_phi)
-        if cn is not None and cd is not None:
-            ok = cn[1] >= cd[1]
-            return {
-                "bounded": bool(ok),
-                "constant": (cn[0] / cd[0]) * t0 ** (cn[1] - cd[1]) if ok else math.inf,
-                "method": "analytic",
-            }
-        out = _bounded_near_zero(num_phi._eval_array, den_phi._eval_array, t0)
-        out["method"] = "grid"
-        return out
+        return _compare_near_zero(num_phi._eval_array, den_phi._eval_array, t0,
+                                  (closed_power_form(num_phi), closed_power_form(den_phi)))
 
     first = compare(phi2, phi1)
     second = compare(psi2, psi1)

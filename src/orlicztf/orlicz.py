@@ -146,13 +146,15 @@ def mixed_norm(f: Field, spec: MixedNormSpec) -> float:
 # -- inequality verifiers -----------------------------------------------------
 
 
-def _inverse_product_ok(phi0, phi1, phi2) -> bool:
+def _inverse_product_ok(bound, phi1, phi2) -> bool:
+    """phi1^{-&}(s) phi2^{-&}(s) <= bound(s) on a log grid of s in [1e-6, 1e6],
+    where the product is finite: the inverse-product premise of the product
+    inequality (bound = phi0^{-&}) and of the convolution one (s phi0^{-&})."""
     s = np.geomspace(1e-6, 1e6, 61)
-    i0 = phi0._inverse_array(s)
     i1 = phi1._inverse_array(s)
     i2 = phi2._inverse_array(s)
     with np.errstate(invalid="ignore"):
-        bad = i1 * i2 > i0 * (1.0 + 1e-9)
+        bad = i1 * i2 > bound(s) * (1.0 + 1e-9)
     return not bool(np.any(bad & np.isfinite(i1 * i2)))
 
 
@@ -190,7 +192,7 @@ def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
     n = grid.shape[0]
     w = grid.weight
 
-    if _inverse_product_ok(phi0, phi1, phi2):
+    if _inverse_product_ok(phi0._inverse_array, phi1, phi2):
         precondition = "inverse_product"
         pre_ok = True
     elif _young_sum_ok(phi0, phi1, phi2):
@@ -218,16 +220,6 @@ def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
     }
 
 
-def _conv_inverse_ok(phi0, phi1, phi2) -> bool:
-    s = np.geomspace(1e-6, 1e6, 61)
-    i0 = phi0._inverse_array(s)
-    i1 = phi1._inverse_array(s)
-    i2 = phi2._inverse_array(s)
-    with np.errstate(invalid="ignore"):
-        bad = i1 * i2 > s * i0 * (1.0 + 1e-9)
-    return not bool(np.any(bad & np.isfinite(i1 * i2)))
-
-
 def verify_young_convolution(phi0: YoungFunction, phi1: YoungFunction,
                              phi2: YoungFunction, trials: int = 1000,
                              seed: int = 42) -> dict:
@@ -241,7 +233,7 @@ def verify_young_convolution(phi0: YoungFunction, phi1: YoungFunction,
     half = grid.axes[0].half_extent
     mask = np.abs(x) <= half / 2.0
 
-    pre_ok = _conv_inverse_ok(phi0, phi1, phi2)
+    pre_ok = _inverse_product_ok(lambda s: s * phi0._inverse_array(s), phi1, phi2)
 
     rng = np.random.default_rng(seed)
     r1 = _random_rows(rng, trials, n) * mask

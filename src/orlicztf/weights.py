@@ -53,5 +53,7 @@ class Weight:
         elif self.kind == "polynomial":
             out = (1.0 + np.sum(pts * pts, axis=-1)) ** (self.params["s"] / 2.0)
         else:
-            out = np.exp(self.params["r"] * np.sqrt(np.sum(pts * pts, axis=-1)))
+            # exp overflows to inf, the weight's value far out
+            with np.errstate(over="ignore"):
+                out = np.exp(self.params["r"] * np.sqrt(np.sum(pts * pts, axis=-1)))
         return float(out) if pts.ndim == 1 else out

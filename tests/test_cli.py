@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ def test_young_conjugate_at_zero(capsys):
     assert rows["conjugate_value"]["value"] == 0.0
     assert rows["closed_form_rel_error"]["value"] == 0.0
     assert rows["closed_form_rel_error"]["pass"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["young", "conjugate", "--kind", "power:2", "--at", "inf"], "inf"),
+    (["young", "conjugate", "--kind", "power:3", "--at", "inf"], "inf"),
+    (["norm", "luxemburg", "--input", "gaussian:1", "--weight", "exponential:1000"], "inf"),
+    (["entropy", "probe", "--amplitudes", "nan", "--N", "64", "--L", "8"],
+     {"space_norm": "nan", "delta_entropy": "nan"}),
+], ids=["conjugate-power2", "conjugate-power3", "luxemburg-exponential-weight",
+        "probe-nan-amplitude"])
+def test_non_finite_values_come_without_warnings(capsys, argv, want):
+    """Phi*(inf) = inf, an exponential weight that overflows is inf, and a
+    NaN perturbation has NaN norm and entropy change; none of them prints a
+    floating point warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "" and not caught
+    assert json.loads(out)["results"][0]["value"] == want
 
 
 def _reject_constant(name):

@@ -113,3 +113,11 @@ def test_continuity_probe_amplitude_scaling(grid128):
     assert deltas[0] > deltas[1] > deltas[2] > 0
     assert norms[0] > norms[1] > norms[2] > 0
     assert 0 < r["fitted_constant"] < 100.0
+
+
+def test_nan_sample_gives_nan_entropy(grid64):
+    """A NaN sample spreads NaN over the STFT, so the entropy is NaN rather
+    than the entropy of the samples left over."""
+    values = gaussian_window(grid64).values.copy()
+    values[5] = np.nan
+    assert math.isnan(entropy_of(o.Field(grid64, values)).value)

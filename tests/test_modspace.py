@@ -6,7 +6,8 @@ import pytest
 
 import orlicztf as o
 from conftest import gaussian_window, noise_field, unit
-from orlicztf import ModulationSpaceSpec, YoungFunction
+from orlicztf import ModulationSpaceSpec, YoungFunction, check_delta2
+from orlicztf.modspace import inverse_product_check
 
 P2 = YoungFunction.power(2)
 ENT = YoungFunction.entropy()
@@ -134,3 +135,62 @@ def test_lower_growth_check_power():
     assert r["bounded"]
     r2 = o.lower_growth_check(YoungFunction.power(3), 2.0, 0.5)
     assert not r2["bounded"]
+
+
+def _doubling(phi, r):
+    return check_delta2(phi, "global" if r is None else "local", r)["holds"]
+
+
+def _lower_growth(phi, alpha, r):
+    return o.lower_growth_check(phi, alpha, r)["bounded"]
+
+
+def _inverse_product(phi_a, phi_b, beta, r):
+    return inverse_product_check(phi_a, phi_b, beta, r)["bounded"]
+
+
+def _embeds(phi1, phi2, r):
+    return o.check_embedding(phi1, phi1, phi2, phi2, r)["embeds"]
+
+
+CAP1, TAN, LOG = YoungFunction.cap(1.0), YoungFunction.tan_example(), YoungFunction.log_example()
+CONJ_ENT = ENT.conjugate()  # finite up to t2 = 2 exp(-3/2) = 0.446, inf beyond
+TABLE = YoungFunction.table([(0, 0), (1, 0), (2, 1), (3, 5)])
+NEAR_ZERO_VERDICTS = [
+    pytest.param(_doubling, (CAP1, 0.5), True, id="delta2-cap1-0.5"),
+    pytest.param(_doubling, (CAP1, 0.6), False, id="delta2-cap1-0.6"),
+    pytest.param(_doubling, (CONJ_ENT, 0.2), True, id="delta2-conj_entropy-0.2"),
+    pytest.param(_doubling, (CONJ_ENT, 0.5), False, id="delta2-conj_entropy-0.5"),
+    pytest.param(_doubling, (TAN, 0.3), True, id="delta2-tan-0.3"),
+    pytest.param(_doubling, (TAN, 1.0), False, id="delta2-tan-1.0"),
+    # Phi(2 r) = Phi(1) = inf although r = t2 / 2
+    pytest.param(_doubling, (LOG, 0.5), False, id="delta2-log-0.5"),
+    pytest.param(_doubling, (LOG, 0.3), True, id="delta2-log-0.3"),
+    pytest.param(_doubling, (LOG, None), False, id="delta2-log-global"),
+    pytest.param(_doubling, (ENT, None), True, id="delta2-entropy-global"),
+    pytest.param(_doubling, (TABLE, 0.5), True, id="delta2-table-0.5"),
+    pytest.param(_doubling, (TABLE, 1.5), False, id="delta2-table-1.5"),
+    pytest.param(_lower_growth, (ENT, 2.0, 0.5), True, id="lower-entropy-2"),
+    pytest.param(_lower_growth, (ENT, 1.5, 0.5), False, id="lower-entropy-1.5"),
+    pytest.param(_lower_growth, (CONJ_ENT, 3.0, 0.5), True, id="lower-conj_entropy-3"),
+    pytest.param(_lower_growth, (CONJ_ENT, 2.0, 0.5), False, id="lower-conj_entropy-2"),
+    pytest.param(_inverse_product, (ENT, ENT, 1.0, 0.5), True, id="invprod-entropy-1"),
+    pytest.param(_inverse_product, (ENT, ENT, 1.5, 0.5), False, id="invprod-entropy-1.5"),
+    pytest.param(_inverse_product, (ENT, CONJ_ENT, 1.0, 0.5), True,
+                 id="invprod-entropy-conj_entropy-1"),
+    # into the conjugate of entropy at r = 0.5 > t2: the numerator is inf
+    # away from 0, where only the neighbourhood of 0 matters
+    pytest.param(_embeds, (P2, CONJ_ENT, 0.5), True, id="embed-power2-conj_entropy-0.5"),
+    pytest.param(_embeds, (ENT, CONJ_ENT, 0.5), True, id="embed-entropy-conj_entropy-0.5"),
+    pytest.param(_embeds, (LOG, CONJ_ENT, 0.5), True, id="embed-log-conj_entropy-0.5"),
+    pytest.param(_embeds, (CONJ_ENT, ENT, 0.5), False, id="embed-conj_entropy-entropy-0.5"),
+    pytest.param(_embeds, (TAN, LOG, 0.2), True, id="embed-tan-log-0.2"),
+    pytest.param(_embeds, (P2, TAN, 0.5), False, id="embed-power2-tan-0.5"),
+]
+
+
+@pytest.mark.parametrize("check, args, want", NEAR_ZERO_VERDICTS)
+def test_near_zero_verdicts(check, args, want):
+    """Verdicts of the four near-origin comparisons on functions with zero
+    sets, jumps to inf and non-power growth."""
+    assert check(*args) is want

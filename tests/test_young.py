@@ -319,3 +319,21 @@ def test_argmax_at_table_slopes_is_the_far_knot():
     got = _conjugate_argmax(base, t)
     assert np.max(np.abs(got - [1.0, 2.0, 3.0, 3.0])) <= 1e-14
     assert np.all(_rel(got, _argmax_by_bisection(base, t)) <= 1e-10)
+
+
+def test_biconjugate_at_a_finite_jump_point():
+    """Phi**(t2) = Phi(t2) where Phi is finite at its jump point t2: the
+    conjugate's linear tail has intercept sup Phi on [0, t2)."""
+    cap = YoungFunction.cap(2.0)
+    assert cap.conjugate().conjugate().evaluate(2.0) == cap.evaluate(2.0) == 0.0
+    table = TABLES["table_infinite_tail"]
+    assert table.conjugate().conjugate().evaluate(3.0) == table.evaluate(3.0) == 5.0
+
+
+@pytest.mark.parametrize("name", sorted(
+    k for k, phi in WITH_CONJUGATES.items()
+    if phi.quasi_order == 1.0 and phi.conjugate().kind == "conjugate"))
+def test_conjugate_at_infinity_and_nan(name):
+    """The numeric Legendre transform is inf at inf and NaN at NaN."""
+    got = WITH_CONJUGATES[name].conjugate().evaluate(np.array([math.inf, math.nan]))
+    assert got[0] == math.inf and math.isnan(got[1])
