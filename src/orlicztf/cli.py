@@ -242,14 +242,15 @@ def cmd_young(args) -> list:
     if args.action == "conjugate":
         conj = phi.conjugate()
         rows = [_row("conjugate_value", conj.evaluate(args.at))]
-        if phi == YoungFunction.log_example():
-            # Phi*(t) = 0 for t <= 0, the t -> 0 limit of the closed form
-            closed = 0.0
-            if args.at > 0:
+        if phi == YoungFunction.log_example() and not math.isnan(args.at):
+            # Phi*(t) = 0 for t <= 0, the t -> 0 limit of the closed form,
+            # and Phi*(inf) = inf, where the closed form reads inf - inf
+            closed = 0.0 if args.at <= 0 else math.inf
+            if 0 < args.at < math.inf:
                 s = math.sqrt(0.25 + args.at)
                 closed = (args.at + 0.5 - s) * math.exp(-(0.5 + s) / args.at)
             num = rows[0]["value"]
-            err = abs(num - closed) / closed if closed > 0 else abs(num - closed)
+            err = 0.0 if num == closed else abs(num - closed) / (closed if closed > 0 else 1.0)
             rows.append(_row("closed_form_rel_error", err, args.tol or 1e-6,
                              err <= (args.tol or 1e-6)))
         return rows

@@ -4,8 +4,8 @@ Grids are products of centered axes x_k = -L + k*Delta with Delta = 2L/N and
 N even.  The dual axis carries xi_m = (pi/L)(m - N/2); dualizing twice
 returns the original axis up to rounding, and all grid compatibility checks
 are tolerant to that rounding.  The Fourier transform uses the normalization
-(2*pi)^(-d/2) * integral f(x) exp(-i<x, xi>) dx, realized as an FFT with
-centering shifts so that it is exactly unitary on the grid.
+(2*pi)^(-d/2) * integral f(x) exp(-i<x, xi>) dx, realized as an FFT
+centred by sign vectors (N is even) so that it is exactly unitary on the grid.
 """
 
 from __future__ import annotations
@@ -150,23 +150,32 @@ def l2_norm(f: Field) -> float:
     return float(math.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.weight))
 
 
-def _centered_fft(values: np.ndarray, axes, inverse: bool) -> np.ndarray:
-    sh = np.fft.ifftshift(values, axes=axes)
-    if inverse:
-        sh = np.fft.ifftn(sh, axes=axes)
-    else:
-        sh = np.fft.fftn(sh, axes=axes)
-    return np.fft.fftshift(sh, axes=axes)
+def _centering_signs(shape, axes) -> tuple:
+    """(s, c) with s = prod_i (-1)^(k_i) over `axes`, shaped to broadcast
+    against an array of `shape`, and c = (-1)^(sum_i n_i/2)."""
+    s = np.ones((1,) * len(shape))
+    for i in axes:
+        v = np.ones(shape[i])
+        v[1::2] = -1.0
+        s = s * v.reshape([-1 if a == i else 1 for a in range(len(shape))])
+    return s, (-1.0) ** sum(shape[i] // 2 for i in axes)
+
+
+def _centered_fft(values: np.ndarray, axes, inverse: bool, scale: float = 1.0) -> np.ndarray:
+    """scale * the (inverse) DFT along `axes`, indices read as k - n/2.  For even n
+    it equals (-1)^(k + n/2) DFT((-1)^j x)_k: sign vectors centre it, not rolls."""
+    s, c = _centering_signs(values.shape, axes)
+    out = (np.fft.ifftn if inverse else np.fft.fftn)(values * s, axes=axes)
+    out *= s * (c * scale)
+    return out
 
 
 def fourier_transform(f: Field, axes=None) -> Field:
     """Unitary Fourier transform along the selected axes (default all)."""
     d = f.grid.dimension
     axes = tuple(range(d)) if axes is None else tuple(axes)
-    scale = 1.0
-    for i in axes:
-        scale *= f.grid.axes[i].spacing / math.sqrt(2.0 * math.pi)
-    vals = _centered_fft(f.values, axes, inverse=False) * scale
+    scale = math.prod(f.grid.axes[i].spacing / math.sqrt(2.0 * math.pi) for i in axes)
+    vals = _centered_fft(f.values, axes, inverse=False, scale=scale)
     return Field(f.grid.with_dual_axes(axes), vals)
 
 
@@ -174,10 +183,8 @@ def inverse_fourier_transform(f: Field, axes=None) -> Field:
     d = f.grid.dimension
     axes = tuple(range(d)) if axes is None else tuple(axes)
     out_grid = f.grid.with_dual_axes(axes)
-    scale = 1.0
-    for i in axes:
-        scale *= math.sqrt(2.0 * math.pi) / out_grid.axes[i].spacing
-    vals = _centered_fft(f.values, axes, inverse=True) * scale
+    scale = math.prod(math.sqrt(2.0 * math.pi) / out_grid.axes[i].spacing for i in axes)
+    vals = _centered_fft(f.values, axes, inverse=True, scale=scale)
     return Field(out_grid, vals)
 
 

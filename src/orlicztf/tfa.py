@@ -3,6 +3,9 @@ convolution, parameterized Wigner distributions, quantization change.
 
 Conventions: V_phi f(x, xi) = (2pi)^(-d/2) integral f(y) conj(phi(y - x))
 exp(-i<y, xi>) dy, realized on the grid with periodic window translates.
+The translates are a zero-copy strided view (a circulant per axis), so the
+STFT and its adjoint form the N^(2d) product once; every centred FFT is
+centred by sign vectors, not rolls (field._centered_fft).
 The Wigner family W^A with A = tI evaluates f1(x + t y) conj(f2(x + (t-1) y))
 and transforms in y.  Every t takes the same path: the samples are shifted
 by trigonometric interpolation, one FFT, a phase ramp per shift and one
@@ -23,6 +26,7 @@ from .field import (
     Field,
     Grid,
     _centered_fft,
+    _centering_signs,
     fourier_transform,
     inverse_fourier_transform,
     l2_norm,
@@ -47,22 +51,14 @@ def as_quantization(a) -> QuantizationMatrix:
     return QuantizationMatrix(float(a))
 
 
-def _window_gather(window_values: np.ndarray, conjugate: bool) -> np.ndarray:
-    """w[j..., k...] = window[(k - j + n/2) mod n, per axis]; the translate
-    of the window to grid position x_j, sampled at x_k."""
+def _translates(window_values: np.ndarray) -> np.ndarray:
+    """Read-only view v[j..., k...] = window[(k - j + n/2) mod n, per axis]
+    (the window moved to x_j, sampled at x_k), strided over the window tiled
+    three times per axis: row j starts at tile index n + n/2 - j."""
     shape = window_values.shape
-    d = len(shape)
-    idx = []
-    for i, n in enumerate(shape):
-        jshape = [1] * (2 * d)
-        jshape[i] = n
-        kshape = [1] * (2 * d)
-        kshape[d + i] = n
-        j = np.arange(n).reshape(jshape)
-        k = np.arange(n).reshape(kshape)
-        idx.append((k - j + n // 2) % n)
-    w = window_values[tuple(idx)]
-    return np.conj(w) if conjugate else w
+    tiled = np.tile(window_values, (3,) * len(shape))
+    rows = np.lib.stride_tricks.sliding_window_view(tiled, shape)
+    return rows[tuple(slice(n + n // 2, n // 2, -1) for n in shape)]
 
 
 def stft(f: Field, window: Field) -> Field:
@@ -70,11 +66,13 @@ def stft(f: Field, window: Field) -> Field:
     if not f.grid.matches(window.grid):
         raise ValueError("signal and window must share a grid")
     d = f.grid.dimension
-    gathered = _window_gather(window.values, conjugate=True)
-    prod = f.values.reshape((1,) * d + f.grid.shape) * gathered
     axes = tuple(range(d, 2 * d))
-    scale = f.grid.weight / (2.0 * math.pi) ** (d / 2.0)
-    vals = _centered_fft(prod, axes, inverse=False) * scale
+    s, c = _centering_signs((1,) * d + f.grid.shape, axes)
+    # the product is the only N^(2d) array formed before the FFT: the input
+    # centring signs ride on f and the output signs on the scale
+    prod = (f.values * s) * _translates(np.conj(window.values))
+    vals = np.fft.fftn(prod, axes=axes)
+    vals *= s * (c * f.grid.weight / (2.0 * math.pi) ** (d / 2.0))
     return Field(phase_grid(f.grid), vals)
 
 
@@ -96,8 +94,7 @@ def stft_adjoint(F: Field, window: Field) -> Field:
     if not base.matches(window.grid):
         raise ValueError("phase field does not match the window grid")
     B = inverse_fourier_transform(F, axes=tuple(range(d, 2 * d)))
-    gathered = _window_gather(window.values, conjugate=False)
-    vals = np.sum(gathered * B.values, axis=tuple(range(d))) * base.weight
+    vals = np.sum(_translates(window.values) * B.values, axis=tuple(range(d))) * base.weight
     return Field(window.grid, vals)
 
 
@@ -163,8 +160,7 @@ def wigner(f1: Field, f2: Field, A=0.5) -> Field:
     y = f1.grid.axes[0].points
     prod = _shifted(f1.values, t * y, dx)
     prod *= np.conj(_shifted(f2.values, (t - 1.0) * y, dx))
-    scale = dx / math.sqrt(2.0 * math.pi)
-    vals = _centered_fft(prod, (1,), inverse=False) * scale
+    vals = _centered_fft(prod, (1,), inverse=False, scale=dx / math.sqrt(2.0 * math.pi))
     return Field(phase_grid(f1.grid), vals)
 
 

@@ -209,20 +209,19 @@ class YoungFunction:
             with np.errstate(over="ignore"):
                 return np.power(t, self.params["p"]) / self.params.get("s", 1.0)
         if k == "cap":
-            a = self.params["a"]
-            return np.where(t <= a, 0.0, np.inf)
+            return np.where(t <= self.params["a"], 0.0, np.where(np.isnan(t), np.nan, np.inf))
         if k == "entropy":
             safe = np.where(t > 0, t, 1.0)
             small = -t * t * np.log(safe)
             big = ENTROPY_SLOPE * t - ENTROPY_INTERCEPT
             return np.where(t <= ENTROPY_SPLICE, np.where(t > 0, small, 0.0), big)
         if k == "tan_example":
-            out = np.full(t.shape, np.inf)
+            out = np.where(np.isnan(t), np.nan, np.inf)
             m = t < math.pi / 2
             out[m] = np.tan(t[m])
             return out
         if k == "log_example":
-            out = np.full(t.shape, np.inf)
+            out = np.where(np.isnan(t), np.nan, np.inf)
             out[t <= 0] = 0.0
             m = (t > 0) & (t < 1)
             tm = t[m]

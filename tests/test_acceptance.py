@@ -4,7 +4,8 @@ value, visible with `pytest -v -rA` or `-s`."""
 
 import pytest
 
-from orlicztf import verify
+from orlicztf import psido, verify
+from orlicztf.field import make_gaussian_mix, make_grid, phase_grid
 
 CRITERIA = list(verify.CRITERIA)
 
@@ -28,3 +29,32 @@ def test_run_all_aggregates():
     assert out["all_passed"]
     assert [r["name"] for r in out["results"]] \
         == ["moyal_isometry", "embedding_lattice"]
+
+
+def test_opnorm_ratio_stability_takes_one_symbol_norm_per_seed(monkeypatch):
+    """One symbol norm per (config, seed), and the same ratios as dividing
+    each N's operator norm by that N's own symbol norm."""
+    calls = []
+    symbol_norm = psido.symbol_norm
+
+    def counted(a, space):
+        calls.append(a.grid.shape)
+        return symbol_norm(a, space)
+
+    monkeypatch.setattr(psido, "symbol_norm", counted)
+    record = verify.opnorm_ratio_stability(count=2)
+    assert len(calls) == 4
+    monkeypatch.undo()
+    configs = {cfg["label"]: cfg for cfg in verify._opnorm_configs()}
+    changes = []
+    for row in record["details"]["rows"]:
+        cfg = configs[row["config"]]
+        ratios = {}
+        for n in (128, 256):
+            a = make_gaussian_mix(phase_grid(make_grid(n, 12.0)), row["seed"])
+            ratios[n] = psido.estimate_operator_norm(
+                a, 0.0, cfg["domain"], cfg["codomain"], trials=4, seed=42,
+                symbol_space=cfg["symbol_space"])["ratio_to_symbol_norm"]
+            assert row[f"ratio_{n}"] == pytest.approx(ratios[n], rel=1e-12, abs=0)
+        changes.append(max(ratios[256] / ratios[128], ratios[128] / ratios[256]))
+    assert record["value"] == pytest.approx(max(changes), rel=1e-12, abs=0)

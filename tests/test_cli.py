@@ -52,18 +52,41 @@ def test_young_conjugate_at_zero(capsys):
     assert rows["closed_form_rel_error"]["pass"]
 
 
+@pytest.mark.parametrize("at, want", [("inf", "inf"), ("nan", "nan")])
+def test_young_conjugate_closed_form_row_at_non_finite(capsys, at, want):
+    """Phi*(inf) = inf matches the closed form's limit; at NaN there is
+    nothing to compare, so the closed-form row is left out."""
+    code = cli.main(["young", "conjugate", "--kind", "log_example", "--at", at])
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    assert code == 0 and err == ""
+    rows = {r["name"]: r for r in rep["results"]}
+    assert rows["conjugate_value"]["value"] == want
+    if at == "inf":
+        assert rows["closed_form_rel_error"]["value"] == 0.0
+        assert rows["closed_form_rel_error"]["pass"]
+    else:
+        assert list(rows) == ["conjugate_value"]
+
+
 @pytest.mark.parametrize("argv, want", [
     (["young", "conjugate", "--kind", "power:2", "--at", "inf"], "inf"),
     (["young", "conjugate", "--kind", "power:3", "--at", "inf"], "inf"),
     (["norm", "luxemburg", "--input", "gaussian:1", "--weight", "exponential:1000"], "inf"),
     (["entropy", "probe", "--amplitudes", "nan", "--N", "64", "--L", "8"],
      {"space_norm": "nan", "delta_entropy": "nan"}),
+    (["young", "evaluate", "--kind", "cap:1", "--at", "nan"], "nan"),
+    (["young", "evaluate", "--kind", "tan_example", "--at", "nan"], "nan"),
+    (["young", "evaluate", "--kind", "log_example", "--at", "nan"], "nan"),
+    (["young", "evaluate", "--kind", "conjugate:power:1", "--at", "nan"], "nan"),
+    (["young", "conjugate", "--kind", "power:1", "--at", "nan"], "nan"),
 ], ids=["conjugate-power2", "conjugate-power3", "luxemburg-exponential-weight",
-        "probe-nan-amplitude"])
+        "probe-nan-amplitude", "cap-nan", "tan-nan", "log-nan", "conjugate-power1-nan",
+        "power1-conjugate-nan"])
 def test_non_finite_values_come_without_warnings(capsys, argv, want):
-    """Phi*(inf) = inf, an exponential weight that overflows is inf, and a
-    NaN perturbation has NaN norm and entropy change; none of them prints a
-    floating point warning."""
+    """Phi*(inf) = inf, an exponential weight that overflows is inf, a
+    NaN perturbation has NaN norm and entropy change, and every Young
+    function is NaN at NaN; none of them prints a floating point warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(argv)

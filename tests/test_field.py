@@ -99,6 +99,25 @@ def _bandlimited_1d_oracle(grid, seed, band):
     return o.inverse_fourier_transform(o.Field(o.Grid((dx,)), spec)).values
 
 
+@pytest.mark.parametrize("d, n, axes", [(1, 6, None), (1, 10, None), (1, 64, None),
+                                        (1, 342, None), (2, 6, None), (2, 16, None),
+                                        (2, 16, (1,))])
+def test_fourier_transforms_match_rolled_oracle(d, n, axes):
+    """The sign-vector centring gives fftshift(fftn(ifftshift(.))) exactly
+    up to rounding, for n = 0 and 2 mod 4."""
+    g = o.make_grid(n, 6.0, d)
+    f = noise_field(g, 5)
+    ax = tuple(range(d)) if axes is None else axes
+    dual = g.with_dual_axes(ax)
+    forward = np.prod([g.axes[i].spacing / math.sqrt(2.0 * math.pi) for i in ax])
+    inverse = np.prod([math.sqrt(2.0 * math.pi) / dual.axes[i].spacing for i in ax])
+    for transform, fft, s in ((o.fourier_transform, np.fft.fftn, forward),
+                              (o.inverse_fourier_transform, np.fft.ifftn, inverse)):
+        ref = np.fft.fftshift(fft(np.fft.ifftshift(f.values, axes=ax), axes=ax), axes=ax) * s
+        got = transform(f, axes=axes).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("n", [32, 64, 342])
 def test_bandlimited_matches_one_axis_oracle(n):
     g = o.make_grid(n, 6.0)

@@ -177,3 +177,56 @@ def test_stft_of_kernel_matches_shifted_stft_of_symbol():
     J, Kk, M, N2 = np.meshgrid(*[np.arange(n)] * 4, indexing="ij")
     Bm = B[J, (n - N2) % n, (M + N2 - n // 2) % n, (Kk - J + n // 2) % n]
     assert np.linalg.norm(A - Bm) / np.linalg.norm(Bm) < 1e-6
+
+
+def rolled_centered_fft(values, axes, inverse=False):
+    """Test oracle: the centred DFT as ifftshift, FFT, fftshift."""
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    return np.fft.fftshift(fft(np.fft.ifftshift(values, axes=axes), axes=axes), axes=axes)
+
+
+def gathered_translates(window_values):
+    """Test oracle: w[j..., k...] = window[(k - j + n/2) mod n, per axis],
+    built with broadcast index arrays and one fancy-index copy."""
+    shape = window_values.shape
+    d = len(shape)
+    idx = []
+    for i, n in enumerate(shape):
+        j = np.arange(n).reshape([n if a == i else 1 for a in range(2 * d)])
+        k = np.arange(n).reshape([n if a == d + i else 1 for a in range(2 * d)])
+        idx.append((k - j + n // 2) % n)
+    return window_values[tuple(idx)]
+
+
+def gathered_stft(f, window):
+    d = f.grid.dimension
+    prod = f.values.reshape((1,) * d + f.grid.shape) * np.conj(gathered_translates(window.values))
+    vals = rolled_centered_fft(prod, tuple(range(d, 2 * d)))
+    return vals * f.grid.weight / (2.0 * math.pi) ** (d / 2.0)
+
+
+def gathered_stft_adjoint(F, window):
+    d = window.grid.dimension
+    axes = tuple(range(d, 2 * d))
+    scale = np.prod([math.sqrt(2.0 * math.pi) / ax.spacing for ax in window.grid.axes])
+    B = rolled_centered_fft(F.values, axes, inverse=True) * scale
+    return np.sum(gathered_translates(window.values) * B, axis=tuple(range(d))) * window.grid.weight
+
+
+@pytest.mark.parametrize("d, n", [(1, 6), (1, 10), (1, 64), (1, 342), (2, 6), (2, 16)])
+def test_stft_and_adjoint_match_gather_oracle(d, n):
+    """The strided circulant view and the sign-vector centring give the
+    index-gather and roll formulas, for n = 0 and 2 mod 4; the window is off
+    centre and modulated, so a reversed circulant or a wrong sign shows."""
+    g = o.make_grid(n, 6.0, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        window = o.make_gaussian(g, 1.3, x0=[0.7, -1.9][:d], xi0=[-1.1, 0.4][:d])
+    f = noise_field(g, 3)
+    ref = gathered_stft(f, window)
+    got = o.stft(f, window).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    F = noise_field(o.phase_grid(g), 4)
+    ref = gathered_stft_adjoint(F, window)
+    got = o.stft_adjoint(F, window).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
