@@ -6,6 +6,12 @@ exp(-i<y, xi>) dy, realized on the grid with periodic window translates.
 The translates are a zero-copy strided view (a circulant per axis), so the
 STFT and its adjoint form the N^(2d) product once; every centred FFT is
 centred by sign vectors, not rolls (field._centered_fft).
+On a phase grid dx dxi = 2pi/N, so exp(-i y eta) is a power of
+w = exp(2pi i/N) and the twisted-convolution quadrature is exactly the
+convolution of the finite Heisenberg group over Z_N x Z_N.  The Schroedinger
+representation carries it to a matrix product: a DFT along xi and an index
+shear turn each field into an N x N operator matrix, one matmul multiplies
+them, and the product's wrapped diagonals and an inverse DFT give the result.
 The Wigner family W^A with A = tI evaluates f1(x + t y) conj(f2(x + (t-1) y))
 and transforms in y.  Every t takes the same path: the samples are shifted
 by trigonometric interpolation, one FFT, a phase ramp per shift and one
@@ -27,7 +33,6 @@ from .field import (
     Grid,
     _centered_fft,
     _centering_signs,
-    fourier_transform,
     inverse_fourier_transform,
     l2_norm,
     phase_grid,
@@ -109,28 +114,37 @@ def stft_projection(F: Field, window: Field) -> Field:
 
 def twisted_convolution(F: Field, G: Field) -> Field:
     """(F #V G)(x, xi) = (2pi)^(-d/2) integral integral F(x-y, xi-eta) G(y, eta)
-    exp(-i<y, xi-eta>) dy deta, direct quadrature (one-dimensional base)."""
+    exp(-i<y, xi-eta>) dy deta on a phase grid (one-dimensional base).
+
+    With dx dxi = 2pi/N the quadrature is exactly a convolution on the finite
+    Heisenberg group: in centred indices, h[a, b] = sum_{y, s} f[a - y, s]
+    g[y, b - s] w^(-y s) with w = exp(2pi i/N).  Along xi its DFT is
+    h^[a, q] = sum_y f^[a - y, q + y] g^[y, q], the Schroedinger matrix
+    product K_H = K_F K_G with K_F[p, q] = f^[p - q, q], read back along the
+    wrapped diagonals h^[a, q] = K_H[q + a, q]: one complex matmul, O(N^3).
+    The grid must be phase_grid(base); another xi extent breaks the identity."""
     d, base = _split_phase(F)
     if d != 1:
         raise ValueError("twisted convolution is implemented for a 1-d base grid")
+    if not F.grid.matches(phase_grid(base)):
+        raise ValueError("twisted convolution needs the xi axis dual to the x axis "
+                         "(dx dxi = 2pi/N)")
     if not F.grid.matches(G.grid):
         raise ValueError("grid mismatch in twisted convolution")
     n = base.axes[0].n
-    x = base.axes[0].points
-    dxi = F.grid.axes[1].spacing
-    Fv = F.values
-    Gv = G.values
+    s, _ = _centering_signs((1, n), (1,))
     j = np.arange(n)
-    idx = (j[:, None] - j[None, :] + n // 2) % n
-    out = np.zeros((n, n), dtype=complex)
-    m = np.arange(n)
-    for s in range(n):
-        A = Fv[idx, s]
-        ph = np.exp(-1j * x * dxi * (s - n // 2))
-        B = Gv[:, (m - s + n // 2) % n] * ph[:, None]
-        out += A @ B
-    c = base.axes[0].spacing * dxi / math.sqrt(2.0 * math.pi)
-    return Field(F.grid, out * c)
+    # the gathers carry the centring offsets: row p - q + n/2 shears a field
+    # into its operator matrix, and row q + j + n/2 = q + a (mod n) reads
+    # output row j = a + n/2 back; G's xi signs (-1)^q cancel the inverse's,
+    # so only F carries them
+    shear = (j[:, None] - j[None, :] + n // 2) % n
+    K = np.take_along_axis(np.fft.fft(F.values, axis=1) * s, shear, axis=0)
+    K = K @ np.take_along_axis(np.fft.fft(G.values, axis=1), shear, axis=0)
+    diag = (j[:, None] + j[None, :] + n // 2) % n
+    out = np.fft.ifft(np.take_along_axis(K, diag, axis=0), axis=1)
+    out *= base.axes[0].spacing * F.grid.axes[1].spacing / math.sqrt(2.0 * math.pi)
+    return Field(F.grid, out)
 
 
 def _shifted(values: np.ndarray, shifts: np.ndarray, spacing: float) -> np.ndarray:
@@ -172,16 +186,13 @@ def quantization_change(a: Field, A1, A2) -> Field:
     d, _ = _split_phase(a)
     if A1.t == A2.t:
         return Field(a.grid, a.values.copy())
-    ahat = fourier_transform(a)
-    us = [ahat.grid.axes[i].points for i in range(d)]
-    vs = [ahat.grid.axes[d + i].points for i in range(d)]
-    phase = np.zeros(ahat.grid.shape)
-    for i in range(d):
-        sh_u = [1] * 2 * d
-        sh_u[i] = len(us[i])
-        sh_v = [1] * 2 * d
-        sh_v[d + i] = len(vs[i])
-        phase = phase + us[i].reshape(sh_u) * vs[i].reshape(sh_v)
-    mult = np.exp(1j * (A1.t - A2.t) * phase)
-    back = inverse_fourier_transform(ahat.with_values(ahat.values * mult))
-    return Field(a.grid, back.values)
+    axes = tuple(range(2 * d))
+    mesh = a.grid.with_dual_axes(axes).mesh()
+    mult = np.exp(1j * (A1.t - A2.t) * sum(mesh[i] * mesh[d + i] for i in range(d)))
+    # centred forward and inverse transforms, with the inner sign passes
+    # dropped: they multiply to 1, as do the constants c and the spacing
+    # scales of a unitary pair
+    s, _ = _centering_signs(a.grid.shape, axes)
+    vals = np.fft.ifftn(mult * np.fft.fftn(a.values * s))
+    vals *= s
+    return Field(a.grid, vals)

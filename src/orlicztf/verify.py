@@ -138,7 +138,7 @@ def stft_inversion_projection(n: int = 256, half_extent: float = 12.0,
 def twisted_reproducing(n: int = 64, half_extent: float = 8.0,
                         trials: int = 3, seed: int = 42,
                         tol: float = 1e-6) -> dict:
-    """V_phi f twisted-convolved with V_phi phi reproduces |phi|^2 V_phi f."""
+    """V_phi phi twisted-convolved with V_phi f reproduces |phi|^2 V_phi f."""
     t0 = time.perf_counter()
     g = make_grid(n, half_extent)
     phi = _gaussian_window(g)

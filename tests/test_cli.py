@@ -196,6 +196,22 @@ def test_twisted_needs_second_input(tmp_path, capsys):
     assert "usage:" in err and "--input2" in err
 
 
+def test_twisted_rejects_a_xi_axis_not_dual_to_x(tmp_path, capsys):
+    path = str(tmp_path / "V.json")
+    run(capsys, ["transform", "stft", "--input", "mix:7", "--N", "32", "--L", "6",
+                 "--out", path])
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["grid"]["L"][1] *= 2.0
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", "twisted", "--input", path, "--input2", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "xi axis dual to the x axis" in err
+
+
 _NOT_FIELDS = {
     "ab.json": '{"a": 1}',
     "list.json": "[1, 2]",

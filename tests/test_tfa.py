@@ -50,6 +50,53 @@ def test_twisted_reproducing_and_asymmetry(grid64):
     assert err_bad > 0.1  # the product is genuinely noncommutative
 
 
+def _twisted_quadrature_oracle(F, G):
+    """Test oracle: the direct quadrature, one gathered N x N matmul per
+    xi - eta slice s, with the phase exp(-i y (xi - eta)) per slice."""
+    n = F.grid.axes[0].n
+    x = F.grid.axes[0].points
+    dxi = F.grid.axes[1].spacing
+    j = np.arange(n)
+    idx = (j[:, None] - j[None, :] + n // 2) % n
+    out = np.zeros((n, n), dtype=complex)
+    for s in range(n):
+        A = F.values[idx, s]
+        ph = np.exp(-1j * x * dxi * (s - n // 2))
+        out += A @ (G.values[:, (j - s + n // 2) % n] * ph[:, None])
+    return out * F.grid.axes[0].spacing * dxi / math.sqrt(2.0 * math.pi)
+
+
+def _balanced_grid(n):
+    """A grid with dx = dxi, so both phase axes resolve the test signals."""
+    return o.make_grid(n, math.sqrt(math.pi * n / 2.0))
+
+
+@pytest.mark.parametrize("n", [10, 16, 64, 128])
+@pytest.mark.parametrize("inputs", ["noise", "stft"])
+def test_twisted_matches_quadrature_oracle(n, inputs):
+    """n = 10 is 2 mod 4, where the centring constant (-1)^(n/2) is -1."""
+    g = _balanced_grid(n)
+    if inputs == "noise":
+        F, G = noise_field(o.phase_grid(g), 1), noise_field(o.phase_grid(g), 2)
+    else:
+        phi = gaussian_window(g)
+        F = o.stft(o.make_gaussian_mix(g, 3), phi)
+        G = o.stft(o.make_gaussian_mix(g, 4), phi)
+    for A, B in ((F, G), (G, F)):
+        ref = _twisted_quadrature_oracle(A, B)
+        got = o.twisted_convolution(A, B).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_twisted_is_associative():
+    pg = o.phase_grid(_balanced_grid(64))
+    F, G, H = (noise_field(pg, seed) for seed in (4, 5, 6))
+    tw = o.twisted_convolution
+    left = tw(tw(F, G), H).values
+    right = tw(F, tw(G, H)).values
+    assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(right))
+
+
 def test_stft_covariance_magnitude_shift(grid64):
     phi = gaussian_window(grid64)
     f = o.make_gaussian_mix(grid64, 5)
