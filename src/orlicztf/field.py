@@ -201,12 +201,12 @@ def make_gaussian(grid: Grid, lam: float = 1.0, x0=None, xi0=None) -> Field:
     eff = min(ax.half_extent - abs(c) for ax, c in zip(grid.axes, x0))
     if eff <= 0 or math.exp(-lam * eff * eff / 2.0) > 1e-12:
         warnings.warn("gaussian tail is not resolved by this grid", stacklevel=2)
-    mesh = grid.mesh()
-    expo = np.zeros(grid.shape, dtype=complex)
-    for i in range(d):
-        expo = expo - 0.5 * lam * (mesh[i] - x0[i]) ** 2 + 1j * xi0[i] * mesh[i]
-    amp = math.pi ** (-d / 4.0) * lam ** (d / 4.0)
-    return Field(grid, amp * np.exp(expo))
+    # the exponent separates over the axes, so d 1-d complex exps, multiplied
+    # out by broadcasting, replace one exp per grid point (N vs N^d exps)
+    vals = math.pi ** (-d / 4.0) * lam ** (d / 4.0)
+    for i, x in enumerate(grid.mesh()):
+        vals = vals * np.exp(-0.5 * lam * (x - x0[i]) ** 2 + 1j * xi0[i] * x)
+    return Field(grid, vals)
 
 
 def make_hermite(grid: Grid, n: int) -> Field:

@@ -6,7 +6,10 @@ W flavor swaps the stage order.  When both stages carry the same Young
 function, the norm is the joint one-stage Luxemburg norm on phase space, so
 the flavor does not matter.  For powers this equals the iterated two-stage
 norm.  For other functions it does not: the iterated norm, which
-`orlicztf norm mixed` computes, is a different number.
+`orlicztf norm mixed` computes, is a different number.  When both stages
+carry the same power c t^2 the joint norm is sqrt(c) |V_g f|_2, and Moyal's
+identity |V_g f|_2 = |f|_2 |g|_2, exact on the periodic grid, answers it in
+closed form: `modulation_norm` then forms no STFT.
 
 Every growth comparison "near the origin" (lower growth, inverse products,
 embeddings, and the local doubling of the hypothesis checkers) is one call
@@ -61,11 +64,20 @@ def phase_field_norm(F: Field, spec: ModulationSpaceSpec) -> float:
 
 
 def modulation_norm(f: Field, spec: ModulationSpaceSpec, window: Field | None = None) -> float:
-    """Norm of the STFT of f in the requested mixed Orlicz space."""
+    """Norm of the STFT of f in the requested mixed Orlicz space.
+
+    When phi == psi == c t^2 the norm is the joint one sqrt(c) |V f|_2, and
+    Moyal's identity |V_g f|_2 = |f|_2 |g|_2, exact on the periodic grid,
+    gives it without forming the STFT."""
     if window is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             window = make_gaussian(f.grid, 1.0)
+    cp = closed_power_form(spec.phi)
+    if spec.phi == spec.psi and cp is not None and cp[1] == 2.0:
+        if not f.grid.matches(window.grid):
+            raise ValueError("signal and window must share a grid")
+        return math.sqrt(cp[0]) * l2_norm(f) * l2_norm(window)
     V = stft(f, window)
     return phase_field_norm(V, spec)
 

@@ -8,6 +8,12 @@ transform is shifted by -t z along the x slot (one FFT phase ramp, see
 tfa._shifted), and the kernel gathers K(x, y) from column z = x - y.  The
 difference x - y is taken as its representative on the centered lattice,
 which keeps periodic wraparound consistent.
+
+Operator norms between spaces other than the flat L2 ones are estimated by a
+random search over seeded probe signals.  The probes and their domain norms
+depend only on the grid, so they are drawn once (`_probes`) and every kernel
+is applied to all of them in one matmul (`_largest_quotient`); a battery that
+tries many symbols on one grid reuses the probes.
 """
 
 from __future__ import annotations
@@ -116,6 +122,22 @@ def _is_flat_l2(spec: ModulationSpaceSpec) -> bool:
     return closed_power_form(spec.phi) == closed_power_form(spec.psi) == (1.0, 2.0)
 
 
+def _probes(base: Grid, domain: ModulationSpaceSpec, trials: int, seed: int):
+    """The seeded probe signals of the random search, rows of a trials x N
+    array, and their domain norms.  They depend on the grid, not the symbol."""
+    F = np.stack([make_gaussian_mix(base, seed + i, terms=3).values for i in range(trials)])
+    return F, [modulation_norm(Field(base, f), domain) for f in F]
+
+
+def _largest_quotient(K: KernelMatrix, probes, codomain: ModulationSpaceSpec) -> float:
+    """max |K f|_codomain / |f|_domain over the probes (0 for a zero probe),
+    with the kernel applied to all of them in one matmul."""
+    F, norms = probes
+    G = (K.matrix @ F.T).T * K.grid.weight
+    return float(max(modulation_norm(Field(K.grid, g), codomain) / nd if nd != 0.0 else 0.0
+                     for g, nd in zip(G, norms)))
+
+
 def estimate_operator_norm(a: Field, A, domain: ModulationSpaceSpec,
                            codomain: ModulationSpaceSpec, trials: int = 8,
                            seed: int = 42,
@@ -124,8 +146,10 @@ def estimate_operator_norm(a: Field, A, domain: ModulationSpaceSpec,
 
     Between the flat L2-type spaces the bound is exact (largest singular
     value of the kernel); otherwise it is a max over seeded random smooth
-    signals normalized in the domain norm.  When symbol_space is given, the
-    report carries the ratio of the bound to the symbol's norm there.
+    signals normalized in the domain norm.  The probes are drawn, and their
+    domain norms taken, once; the kernel reaches all of them in one matmul.
+    When symbol_space is given, the report carries the ratio of the bound to
+    the symbol's norm there.
     """
     A = as_quantization(A)
     K = kernel(a, A)
@@ -135,15 +159,7 @@ def estimate_operator_norm(a: Field, A, domain: ModulationSpaceSpec,
         lower = float(np.linalg.svd(K.matrix, compute_uv=False)[0]) * base.weight
         method = "singular_value"
     else:
-        def trial(i: int) -> float:
-            f = make_gaussian_mix(base, seed + i, terms=3)
-            nd = modulation_norm(f, domain)
-            if nd == 0.0:
-                return 0.0
-            g = K.apply_to(f)
-            return modulation_norm(g, codomain) / nd
-
-        lower = float(max(trial(i) for i in range(trials)))
+        lower = _largest_quotient(K, _probes(base, domain, trials, seed), codomain)
         method = "random_search"
 
     out = {

@@ -94,10 +94,15 @@ def _split_phase(F: Field):
 
 def stft_adjoint(F: Field, window: Field) -> Field:
     """Adjoint of the STFT: g(y) = (2pi)^(-d/2) integral integral F(x, xi)
-    window(y - x) exp(i<y, xi>) dx dxi, by quadrature."""
+    window(y - x) exp(i<y, xi>) dx dxi, by quadrature.  The grid must be
+    phase_grid(base): the inverse transform along xi lands on x only when the
+    xi axes are dual to the x axes."""
     d, base = _split_phase(F)
     if not base.matches(window.grid):
         raise ValueError("phase field does not match the window grid")
+    if not F.grid.matches(phase_grid(base)):
+        raise ValueError("the STFT adjoint needs the xi axes dual to the x axes "
+                         "(dx dxi = 2pi/N)")
     B = inverse_fourier_transform(F, axes=tuple(range(d, 2 * d)))
     vals = np.sum(_translates(window.values) * B.values, axis=tuple(range(d))) * base.weight
     return Field(window.grid, vals)

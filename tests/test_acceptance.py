@@ -2,6 +2,7 @@
 stated tolerance.  Each case prints a single PASS/FAIL line with the measured
 value, visible with `pytest -v -rA` or `-s`."""
 
+import numpy as np
 import pytest
 
 from orlicztf import psido, verify
@@ -58,3 +59,22 @@ def test_opnorm_ratio_stability_takes_one_symbol_norm_per_seed(monkeypatch):
             assert row[f"ratio_{n}"] == pytest.approx(ratios[n], rel=1e-12, abs=0)
         changes.append(max(ratios[256] / ratios[128], ratios[128] / ratios[256]))
     assert record["value"] == pytest.approx(max(changes), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_opnorm_ratio_stability_draws_probes_once_per_grid(monkeypatch, count):
+    """2 configs x 2 grids x 4 trials domain norms, however many symbols."""
+    probes = [make_gaussian_mix(make_grid(n, 12.0), 42 + i, terms=3)
+              for n in (128, 256) for i in range(4)]
+    domain_norms = []
+    modulation_norm = psido.modulation_norm
+
+    def counted(f, spec, window=None):
+        if any(f.grid.matches(p.grid) and np.array_equal(f.values, p.values)
+               for p in probes):
+            domain_norms.append(spec)
+        return modulation_norm(f, spec, window)
+
+    monkeypatch.setattr(psido, "modulation_norm", counted)
+    verify.opnorm_ratio_stability(count=count)
+    assert len(domain_norms) == 16

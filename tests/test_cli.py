@@ -122,7 +122,7 @@ def test_reports_deterministic_modulo_timing(capsys):
     assert rep1 == rep2
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["young", "evaluate", "--kind", "nosuch", "--at", "1"])
     assert exc.value.code == 2
@@ -166,7 +166,15 @@ def test_usage_errors_exit_two(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and repr(spec) in err
+    wide_xi = str(tmp_path / "V.json")
+    run(capsys, ["transform", "stft", "--input", "mix:7"] + small + ["--out", wide_xi])
+    with open(wide_xi) as fh:
+        doc = json.load(fh)
+    doc["grid"]["L"][1] *= 2.0
+    with open(wide_xi, "w") as fh:
+        json.dump(doc, fh)
     for argv, message in (
+            (["transform", "project", "--input", wide_xi], "xi axes dual to the x axes"),
             (["norm", "luxemburg", "--input", "gaussian:1", "--N", "16", "--L", "inf"],
              "half-extent must be finite and positive"),
             (["verify", "moyal", "--trials", "0"], "must be an integer >= 1"),

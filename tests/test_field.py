@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,36 @@ def test_gaussian_width_inverts_under_fourier(grid256):
     ref = gaussian_window(ft.grid, 0.5)
     scale = np.max(np.abs(ref.values))
     assert np.max(np.abs(ft.values - ref.values)) / scale < 1e-12
+
+
+def _joint_exponent_gaussian(grid, lam, x0, xi0):
+    """Oracle: one complex exp of the summed exponent over the whole grid."""
+    d = grid.dimension
+    mesh = grid.mesh()
+    expo = np.zeros(grid.shape, dtype=complex)
+    for i in range(d):
+        expo = expo - 0.5 * lam * (mesh[i] - x0[i]) ** 2 + 1j * xi0[i] * mesh[i]
+    return math.pi ** (-d / 4.0) * lam ** (d / 4.0) * np.exp(expo)
+
+
+@pytest.mark.parametrize("grid", [o.make_grid(256, 12.0), o.make_grid(64, 8.0),
+                                  o.phase_grid(o.make_grid(256, 12.0)),
+                                  o.make_grid(8, 6.0, 4)],
+                         ids=["d1-256", "d1-64", "d2-phase-256", "d4-8"])
+@pytest.mark.parametrize("lam", [0.6, 1.4])
+def test_separable_gaussian_matches_joint_exponent(grid, lam):
+    """The per-axis product equals one exp of the joint exponent: bit for
+    bit in 1-d, to rounding in more dimensions."""
+    d = grid.dimension
+    x0, xi0 = [0.7, -1.3, 2.1, -0.4][:d], [-1.1, 0.4, 1.7, -2.0][:d]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = o.make_gaussian(grid, lam, x0, xi0).values
+    ref = _joint_exponent_gaussian(grid, lam, x0, xi0)
+    if d == 1:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-15
 
 
 def test_gaussians_are_normalized(grid256):

@@ -6,8 +6,8 @@ import pytest
 
 import orlicztf as o
 from conftest import gaussian_window, noise_field, unit
-from orlicztf import ModulationSpaceSpec, YoungFunction, check_delta2
-from orlicztf.modspace import inverse_product_check
+from orlicztf import ModulationSpaceSpec, YoungFunction, check_delta2, modspace
+from orlicztf.modspace import inverse_product_check, phase_field_norm
 
 P2 = YoungFunction.power(2)
 ENT = YoungFunction.entropy()
@@ -22,6 +22,68 @@ def test_m2_norm_of_unit_gaussian(grid256):
 def test_m2_equals_l2(grid256):
     f = noise_field(grid256, 1)
     assert abs(o.modulation_norm(f, M2) - o.l2_norm(f)) < 1e-8 * o.l2_norm(f)
+
+
+def _moyal_cases():
+    g1, g2 = o.make_grid(64, 8.0), o.phase_grid(o.make_grid(32, 6.0))
+    for grid in (g1, g2):
+        d = grid.dimension
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            windows = {"gaussian": o.make_gaussian(grid, 1.3, x0=[0.4, -0.9][:d]),
+                       "mix": o.make_gaussian_mix(grid, 17)}
+        for name, window in windows.items():
+            for label, phi in (("c1", P2), ("c1/4", P2.conjugate())):
+                yield pytest.param(grid, window, phi, id=f"d{d}-{name}-{label}")
+
+
+@pytest.mark.parametrize("grid, window, phi", list(_moyal_cases()))
+@pytest.mark.parametrize("flavor", ["M", "W"])
+def test_joint_power2_norm_is_moyal_closed_form(monkeypatch, grid, window, phi, flavor):
+    """phi == psi == c t^2 gives sqrt(c) |f|_2 |window|_2 without an STFT,
+    equal to the norm of the STFT itself."""
+    spec = ModulationSpaceSpec(phi, phi, flavor)
+    f = o.make_gaussian_mix(grid, 5)
+    ref = phase_field_norm(o.stft(f, window), spec)
+    calls = []
+    monkeypatch.setattr(modspace, "stft", lambda *a: calls.append(a))
+    got = o.modulation_norm(f, spec, window=window)
+    assert calls == []
+    assert abs(got - ref) <= 1e-14 * ref
+
+
+def test_moyal_closed_form_keeps_grid_check_and_non_finite_inputs(grid64):
+    with pytest.raises(ValueError, match="share a grid"):
+        o.modulation_norm(o.make_gaussian_mix(grid64, 1), M2,
+                          window=gaussian_window(o.make_grid(64, 9.0)))
+    for bad in (math.nan, math.inf):
+        v = o.make_gaussian_mix(grid64, 1).values.copy()
+        v[5] = bad
+        f = o.Field(grid64, v)
+        with np.errstate(invalid="ignore"):
+            ref = phase_field_norm(o.stft(f, gaussian_window(grid64)), M2)
+        got = o.modulation_norm(f, M2)
+        # the STFT path reads NaN for an inf sample (the FFT meets inf * 0);
+        # the closed form reads inf, as the Luxemburg layer does
+        assert not math.isfinite(ref) and not math.isfinite(got)
+        assert math.isnan(got) == math.isnan(bad)
+
+
+@pytest.mark.parametrize("spec", [ModulationSpaceSpec(YoungFunction.power(3),
+                                                      YoungFunction.power(1.5)), MPHI,
+                                  ModulationSpaceSpec(P2, YoungFunction.power(3))],
+                         ids=["M3,1.5", "entropy", "M2,3"])
+def test_other_norms_take_the_stft_path(monkeypatch, grid64, spec):
+    calls = []
+    stft = modspace.stft
+
+    def counted(f, window):
+        calls.append(f.grid.shape)
+        return stft(f, window)
+
+    monkeypatch.setattr(modspace, "stft", counted)
+    o.modulation_norm(o.make_gaussian_mix(grid64, 2), spec)
+    assert calls == [(64,)]
 
 
 def test_m11_gaussian_closed_value(grid256):

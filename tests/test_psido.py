@@ -130,6 +130,15 @@ def test_symbol_norm_uses_reduced_field():
     assert abs(n1 - n2) < 1e-10 * n1
 
 
+def test_symbol_norm_uses_reduced_field_off_the_moyal_path():
+    """The same for M^{3,1.5}, whose norm still takes the STFT."""
+    spec = ModulationSpaceSpec(YoungFunction.power(3), YoungFunction.power(1.5))
+    a1 = o.make_gaussian_mix(o.phase_grid(o.make_grid(128, 12.0)), 7)
+    a2 = o.make_gaussian_mix(o.phase_grid(o.make_grid(256, 12.0)), 7)
+    n1, n2 = o.symbol_norm(a1, spec), o.symbol_norm(a2, spec)
+    assert abs(n1 - n2) < 1e-10 * n1
+
+
 def test_operator_norm_flat_l2_uses_exact_singular_value(grid64):
     pg = o.phase_grid(grid64)
     a = o.make_gaussian_mix(pg, 21)

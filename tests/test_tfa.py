@@ -6,6 +6,7 @@ import pytest
 
 import orlicztf as o
 from conftest import gaussian_window, noise_field, upsample2
+from orlicztf.field import Axis
 from orlicztf.tfa import _shifted
 
 
@@ -24,6 +25,16 @@ def test_adjoint_inverts(grid64):
     back = o.stft_adjoint(o.stft(f, phi), phi)
     rec = o.Field(grid64, back.values / o.l2_norm(phi) ** 2)
     assert np.max(np.abs(rec.values - f.values)) < 1e-12
+
+
+def test_adjoint_rejects_a_xi_axis_not_dual_to_x(grid64):
+    phi = gaussian_window(grid64)
+    V = o.stft(o.make_gaussian_mix(grid64, 7), phi)
+    x, xi = V.grid.axes
+    wide = o.Field(o.Grid((x, Axis(xi.n, 2.0 * xi.half_extent)), V.grid.roles), V.values)
+    for op in (o.stft_adjoint, o.stft_projection):
+        with pytest.raises(ValueError, match="xi axes dual to the x axes"):
+            op(wide, phi)
 
 
 def test_projection_idempotent_and_reproducing(grid64):
