@@ -279,6 +279,8 @@ def make_gaussian_mix(grid: Grid, seed: int, terms: int = 3) -> Field:
 
 # -- file formats -------------------------------------------------------------
 
+_CHUNK = 1024  # samples formatted per write; larger chunks raise peak memory
+
 
 def _grid_header(grid: Grid) -> str:
     ls = ",".join(format(ax.half_extent, ".17g") for ax in grid.axes)
@@ -304,17 +306,35 @@ def _parse_grid_header(line: str) -> Grid:
     return Grid(tuple(Axis(n, l) for n, l in zip(ns, ls)), roles)
 
 
+def _samples(re, im, shape) -> np.ndarray:
+    """Complex samples with the given real and imaginary parts, each set
+    directly: re + 1j*im would turn 1 + inf*j into nan + inf*j."""
+    re, im = np.asarray(re), np.asarray(im)
+    if re.dtype.kind not in "biuf" or im.dtype.kind not in "biuf" or re.shape != im.shape:
+        raise ValueError("samples must be numbers, one imaginary part per real part")
+    vals = np.empty(re.shape, dtype=complex)
+    vals.real, vals.imag = re, im
+    return vals.reshape(shape)
+
+
 def save_csv(f: Field, path: str) -> None:
-    """Rows of coordinates, real part, imaginary part; 17 significant digits."""
-    coords = f.grid.points_stack().reshape(-1, f.grid.dimension)
+    """A `# grid ...` header line, then one row per sample in C order: its
+    coordinates, real part and imaginary part, each printed as "%.17g".
+
+    Each axis's coordinates are formatted once, and the rows are formatted
+    and written _CHUNK at a time, one % operation per chunk."""
+    coords = map(",".join, itertools.product(
+        *[[format(c, ".17g") for c in ax.points.tolist()] for ax in f.grid.axes]))
     flat = f.values.reshape(-1)
     with open(path, "w") as fh:
         fh.write(_grid_header(f.grid) + "\n")
-        for row, z in zip(coords, flat):
-            cells = [format(c, ".17g") for c in row]
-            cells.append(format(z.real, ".17g"))
-            cells.append(format(z.imag, ".17g"))
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, flat.size, _CHUNK):
+            z = flat[start:start + _CHUNK]
+            cells = [None] * (3 * z.size)
+            cells[0::3] = itertools.islice(coords, z.size)
+            cells[1::3] = z.real.tolist()
+            cells[2::3] = z.imag.tolist()
+            fh.write(("%s,%.17g,%.17g\n" * z.size) % tuple(cells))
 
 
 def load_csv(path: str) -> Field:
@@ -330,26 +350,35 @@ def load_csv(path: str) -> Field:
                 cells = line.split(",")
                 re.append(float(cells[-2]))
                 im.append(float(cells[-1]))
-            vals = (np.array(re) + 1j * np.array(im)).reshape(grid.shape)
-            return Field(grid, vals)
+            return Field(grid, _samples(re, im, grid.shape))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path} is not a saved field ({type(exc).__name__}: {exc})") from exc
 
 
 def save_json(f: Field, path: str) -> None:
-    doc = {
-        "grid": {
-            "d": f.grid.dimension,
-            "L": [ax.half_extent for ax in f.grid.axes],
-            "N": [ax.n for ax in f.grid.axes],
-            "roles": list(f.grid.roles),
-        },
-        "re": f.values.real.reshape(-1).tolist(),
-        "im": f.values.imag.reshape(-1).tolist(),
+    """One object with keys "grid" (d, L, N, roles), "re" and "im", the
+    samples in C order.  Non-finite samples are the tokens NaN and Infinity,
+    which strict JSON parsers reject.
+
+    The text is that of json.dump on the whole object, but the samples go
+    through the C encoder _CHUNK at a time."""
+    grid = {
+        "d": f.grid.dimension,
+        "L": [ax.half_extent for ax in f.grid.axes],
+        "N": [ax.n for ax in f.grid.axes],
+        "roles": list(f.grid.roles),
     }
+    flat = f.values.reshape(-1)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write('{"grid": ' + json.dumps(grid))
+        for key, part in (("re", flat.real), ("im", flat.imag)):
+            fh.write(f', "{key}": [')
+            for start in range(0, flat.size, _CHUNK):
+                chunk = json.dumps(part[start:start + _CHUNK].tolist())[1:-1]
+                fh.write(chunk if start == 0 else ", " + chunk)
+            fh.write("]")
+        fh.write("}")
 
 
 def load_json(path: str) -> Field:
@@ -361,8 +390,7 @@ def load_json(path: str) -> Field:
                 tuple(Axis(n, l) for n, l in zip(g["N"], g["L"])),
                 tuple(g.get("roles", ["x"] * g["d"])),
             )
-            vals = (np.array(doc["re"]) + 1j * np.array(doc["im"])).reshape(grid.shape)
-            return Field(grid, vals)
+            return Field(grid, _samples(doc["re"], doc["im"], grid.shape))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path} is not a saved field ({type(exc).__name__}: {exc})") from exc

@@ -26,6 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .field import Field, l2_norm, make_gaussian
 from .orlicz import MixedNormSpec, mixed_norm
 from .tfa import stft
@@ -68,15 +70,22 @@ def modulation_norm(f: Field, spec: ModulationSpaceSpec, window: Field | None = 
 
     When phi == psi == c t^2 the norm is the joint one sqrt(c) |V f|_2, and
     Moyal's identity |V_g f|_2 = |f|_2 |g|_2, exact on the periodic grid,
-    gives it without forming the STFT."""
+    gives it without forming the STFT.
+
+    Non-finite samples follow the Luxemburg layer's rule in every space: a
+    NaN sample (of f or the window) gives NaN, otherwise an inf sample gives
+    inf.  The STFT would read NaN for both, since its FFT meets inf * 0."""
     if window is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             window = make_gaussian(f.grid, 1.0)
+    if not f.grid.matches(window.grid):
+        raise ValueError("signal and window must share a grid")
+    if not (np.isfinite(f.values).all() and np.isfinite(window.values).all()):
+        nan = np.isnan(f.values).any() or np.isnan(window.values).any()
+        return math.nan if nan else math.inf
     cp = closed_power_form(spec.phi)
     if spec.phi == spec.psi and cp is not None and cp[1] == 2.0:
-        if not f.grid.matches(window.grid):
-            raise ValueError("signal and window must share a grid")
         return math.sqrt(cp[0]) * l2_norm(f) * l2_norm(window)
     V = stft(f, window)
     return phase_field_norm(V, spec)

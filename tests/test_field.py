@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import warnings
 
@@ -215,3 +217,91 @@ def test_save_load_phase_field(tmp_path, grid64, fmt):
 def test_grid_mismatch_raises(grid64, grid128):
     with pytest.raises(ValueError):
         o.inner_product(noise_field(grid64, 0), noise_field(grid128, 0))
+
+
+def _save_csv_oracle(f, path):
+    """Test oracle: the per-sample CSV writer, four format calls per row."""
+    from orlicztf.field import _grid_header
+    coords = f.grid.points_stack().reshape(-1, f.grid.dimension)
+    flat = f.values.reshape(-1)
+    with open(path, "w") as fh:
+        fh.write(_grid_header(f.grid) + "\n")
+        for row, z in zip(coords, flat):
+            cells = [format(c, ".17g") for c in row]
+            cells.append(format(z.real, ".17g"))
+            cells.append(format(z.imag, ".17g"))
+            fh.write(",".join(cells) + "\n")
+
+
+def _save_json_oracle(f, path):
+    """Test oracle: json.dump of the whole document."""
+    doc = {
+        "grid": {
+            "d": f.grid.dimension,
+            "L": [ax.half_extent for ax in f.grid.axes],
+            "N": [ax.n for ax in f.grid.axes],
+            "roles": list(f.grid.roles),
+        },
+        "re": f.values.real.reshape(-1).tolist(),
+        "im": f.values.imag.reshape(-1).tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _odd_samples_field():
+    """NaN, +-inf, -0.0 and a subnormal in either part, among noise."""
+    g = o.make_grid(64, 4.0)
+    v = noise_field(g, 3).values.copy()
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-310]
+    for k, (a, b) in enumerate(itertools.product(odd, odd)):
+        v[k] = complex(a, b)
+    return o.Field(g, v)
+
+
+def _golden_fields():
+    g64 = o.make_grid(64, 8.0)
+    yield "d1-noise-64", noise_field(g64, 9)
+    yield "d2-phase-64", o.stft(o.make_gaussian_mix(g64, 4), gaussian_window(g64))
+    g50 = o.make_grid(50, 5.0)
+    # 2500 rows: two full chunks and a partial one
+    yield "d2-phase-50", o.stft(o.make_gaussian_mix(g50, 2), gaussian_window(g50))
+    yield "non-finite", _odd_samples_field()
+
+
+@pytest.mark.parametrize("name, f", [pytest.param(name, f, id=name)
+                                     for name, f in _golden_fields()])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_match_per_sample_oracle_bytes(tmp_path, name, f, fmt):
+    save, oracle = (o.save_csv, _save_csv_oracle) if fmt == "csv" \
+        else (o.save_json, _save_json_oracle)
+    got, ref = tmp_path / f"got.{fmt}", tmp_path / f"ref.{fmt}"
+    save(f, str(got))
+    oracle(f, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
+    if name == "d2-phase-64" and fmt == "csv":
+        assert got.read_text().splitlines()[0].endswith(" roles=x,xi")
+    if name == "d2-phase-50":
+        assert f.values.size == 2500
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_parts_round_trip_bit_for_bit(tmp_path, fmt):
+    """Each part is read back as written, whatever the other part holds:
+    1 + inf*j stays 1 + inf*j, not nan + inf*j."""
+    f = _odd_samples_field()
+    v = f.values.copy()
+    v[-4:] = [complex(1.0, math.inf), complex(2.0, math.nan),
+              complex(math.inf, 1.0), complex(math.nan, -2.0)]
+    f = o.Field(f.grid, v)
+    path = str(tmp_path / f"odd.{fmt}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (o.save_csv if fmt == "csv" else o.save_json)(f, path)
+        back = (o.load_csv if fmt == "csv" else o.load_json)(path)
+    assert np.array_equal(_bits(back.values.real), _bits(f.values.real))
+    assert np.array_equal(_bits(back.values.imag), _bits(f.values.imag))

@@ -52,6 +52,10 @@ def test_joint_power2_norm_is_moyal_closed_form(monkeypatch, grid, window, phi, 
     assert abs(got - ref) <= 1e-14 * ref
 
 
+M3_15 = ModulationSpaceSpec(YoungFunction.power(3), YoungFunction.power(1.5))
+M2_3 = ModulationSpaceSpec(P2, YoungFunction.power(3))
+
+
 def test_moyal_closed_form_keeps_grid_check_and_non_finite_inputs(grid64):
     with pytest.raises(ValueError, match="share a grid"):
         o.modulation_norm(o.make_gaussian_mix(grid64, 1), M2,
@@ -67,12 +71,34 @@ def test_moyal_closed_form_keeps_grid_check_and_non_finite_inputs(grid64):
         # the closed form reads inf, as the Luxemburg layer does
         assert not math.isfinite(ref) and not math.isfinite(got)
         assert math.isnan(got) == math.isnan(bad)
+        # every other space follows the same rule, without a warning
+        for spec in (M3_15, MPHI, M2_3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = o.modulation_norm(f, spec)
+            assert not math.isfinite(got)
+            assert math.isnan(got) == math.isnan(bad)
 
 
-@pytest.mark.parametrize("spec", [ModulationSpaceSpec(YoungFunction.power(3),
-                                                      YoungFunction.power(1.5)), MPHI,
-                                  ModulationSpaceSpec(P2, YoungFunction.power(3))],
-                         ids=["M3,1.5", "entropy", "M2,3"])
+@pytest.mark.parametrize("spec", [M2, M3_15, MPHI, M2_3], ids=["M2", "M3,1.5", "entropy", "M2,3"])
+def test_non_finite_modulation_norms_nan_first(grid64, spec):
+    """A NaN sample gives NaN even beside an inf one; a non-finite window
+    counts as the signal does; the grid check comes first."""
+    g = o.make_gaussian_mix(grid64, 1)
+    v = g.values.copy()
+    v[3], v[9] = math.inf, complex(1.0, math.nan)
+    w = gaussian_window(grid64).values.copy()
+    w[7] = -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(o.modulation_norm(o.Field(grid64, v), spec))
+        assert o.modulation_norm(g, spec, window=o.Field(grid64, w)) == math.inf
+    with pytest.raises(ValueError, match="share a grid"):
+        o.modulation_norm(o.Field(grid64, v), spec,
+                          window=gaussian_window(o.make_grid(64, 9.0)))
+
+
+@pytest.mark.parametrize("spec", [M3_15, MPHI, M2_3], ids=["M3,1.5", "entropy", "M2,3"])
 def test_other_norms_take_the_stft_path(monkeypatch, grid64, spec):
     calls = []
     stft = modspace.stft
