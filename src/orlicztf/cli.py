@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -172,9 +171,7 @@ def make_signal(spec: str, grid: Grid, seed: int) -> Field:
     """A signal spec or the path of a saved .csv/.json field."""
     if spec.endswith((".csv", ".json")):
         return load_field(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _parse(spec, _SIGNAL_KINDS, grid, seed)
+    return _parse(spec, _SIGNAL_KINDS, grid, seed)
 
 
 def load_field(path: str) -> Field:
@@ -568,7 +565,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rows, data_written = args.handler(args)
+        # a report prints every non-finite value as "nan" or "inf", so
+        # numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            rows, data_written = args.handler(args)
     except (argparse.ArgumentTypeError, ValueError, FileNotFoundError) as exc:
         parser.error(str(exc))
     config = {

@@ -10,7 +10,6 @@ normalized pairs, and continuity probes in several space norms.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +38,6 @@ class EntropyResult:
     integrand_min_location: tuple
 
 
-def _default_window(grid: Grid) -> Field:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_gaussian(grid, 1.0)
-
-
 def _integral_term(S: np.ndarray, weight: float) -> np.ndarray:
     """Pointwise contributions -S log S, with values below the floor
     contributing exactly zero; a NaN value contributes NaN."""
@@ -56,7 +49,7 @@ def _integral_term(S: np.ndarray, weight: float) -> np.ndarray:
 
 def entropy(f: Field, window: Field | None = None) -> EntropyResult:
     """Entropy of |V_phi f|^2 with the Moyal compensator term."""
-    phi = window if window is not None else _default_window(f.grid)
+    phi = window if window is not None else make_gaussian(f.grid, 1.0)
     nphi = l2_norm(phi)
     if nphi == 0.0:
         raise ValueError("window must be nonzero")
@@ -95,13 +88,10 @@ def gaussian_family_scan(lambdas) -> dict:
         raise ValueError("lambda must be positive")
     g = family_grid(lambdas)
     d = g.dimension
-    phi = _default_window(g)
+    phi = make_gaussian(g, 1.0)
 
     def one(lam: float) -> dict:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            f = make_gaussian(g, lam)
-        e = entropy(f, phi).value
+        e = entropy(make_gaussian(g, lam), phi).value
         log_term = d * math.log(math.pi * (math.sqrt(lam) + 1.0 / math.sqrt(lam)))
         return {"lam": lam, "entropy": e, "log_term": log_term,
                 "constant": (e - log_term) / d}
@@ -119,7 +109,7 @@ def gaussian_family_scan(lambdas) -> dict:
 def lieb_bound_check(f: Field, window: Field | None = None) -> dict:
     """Check E_phi(f) >= d (1 + log(pi/2)) after rescaling so that
     |f|_2 |phi|_2 = 1."""
-    phi = window if window is not None else _default_window(f.grid)
+    phi = window if window is not None else make_gaussian(f.grid, 1.0)
     nf, nphi = l2_norm(f), l2_norm(phi)
     if nf == 0.0 or nphi == 0.0:
         raise ValueError("both the signal and the window must be nonzero")
@@ -139,7 +129,7 @@ def continuity_probe(f: Field, direction: Field, amplitudes,
     (default M^Phi) and |E(f + eps g) - E(f)|; the fitted constant bounds
     the response by n^2 (1 + |log n|) in that norm.
     """
-    phi = _default_window(f.grid)
+    phi = make_gaussian(f.grid, 1.0)
     base = entropy(f, phi).value
     rows = []
     fitted = 0.0
@@ -160,12 +150,10 @@ def lambda_family_table(lambdas, grid: Grid | None = None) -> list:
     """Rows (lambda, entropy, M2 norm, MPhi norm) for the Gaussian family."""
     lambdas = [float(l) for l in lambdas]
     g = grid if grid is not None else family_grid(lambdas)
-    phi = _default_window(g)
+    phi = make_gaussian(g, 1.0)
     rows = []
     for lam in lambdas:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            f = make_gaussian(g, lam)
+        f = make_gaussian(g, lam)
         rows.append({
             "lam": lam,
             "entropy": entropy(f, phi).value,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,9 +197,6 @@ def make_gaussian(grid: Grid, lam: float = 1.0, x0=None, xi0=None) -> Field:
     d = grid.dimension
     x0 = np.zeros(d) if x0 is None else np.broadcast_to(np.atleast_1d(x0), (d,))
     xi0 = np.zeros(d) if xi0 is None else np.broadcast_to(np.atleast_1d(xi0), (d,))
-    eff = min(ax.half_extent - abs(c) for ax, c in zip(grid.axes, x0))
-    if eff <= 0 or math.exp(-lam * eff * eff / 2.0) > 1e-12:
-        warnings.warn("gaussian tail is not resolved by this grid", stacklevel=2)
     # the exponent separates over the axes, so d 1-d complex exps, multiplied
     # out by broadcasting, replace one exp per grid point (N vs N^d exps)
     vals = math.pi ** (-d / 4.0) * lam ** (d / 4.0)
@@ -270,9 +266,7 @@ def make_gaussian_mix(grid: Grid, seed: int, terms: int = 3) -> Field:
         x0 = rng.uniform(-3.0, 3.0, size=d)
         xi0 = rng.uniform(-2.0, 2.0, size=d)
         coef = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            atom = make_gaussian(grid, lam, x0, xi0)
+        atom = make_gaussian(grid, lam, x0, xi0)
         vals = vals + coef * atom.values
     return Field(grid, vals)
 

@@ -23,7 +23,6 @@ in [1e-8, r].
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +75,7 @@ def modulation_norm(f: Field, spec: ModulationSpaceSpec, window: Field | None = 
     NaN sample (of f or the window) gives NaN, otherwise an inf sample gives
     inf.  The STFT would read NaN for both, since its FFT meets inf * 0."""
     if window is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            window = make_gaussian(f.grid, 1.0)
+        window = make_gaussian(f.grid, 1.0)
     if not f.grid.matches(window.grid):
         raise ValueError("signal and window must share a grid")
     if not (np.isfinite(f.values).all() and np.isfinite(window.values).all()):
@@ -234,10 +231,7 @@ def stft_norm_factorization_check(f1: Field, f2: Field,
         return {"lhs": 0.0, "rhs": 0.0, "ratio": math.nan}
 
     V12 = stft(f2, f1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        win2 = make_gaussian(V12.grid, 1.0)
-    V4 = stft(V12, win2)
+    V4 = stft(V12, make_gaussian(V12.grid, 1.0))
     lhs = mixed_norm(V4, m_spec.stages_for(2))
     rhs = modulation_norm(f1, m_spec) * modulation_norm(f2, w_spec)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)

@@ -172,10 +172,33 @@ def _young_sum_ok(phi0, phi1, phi2) -> bool:
     return bool(np.all((lhs <= rhs + tol) | np.isinf(rhs)))
 
 
-def _random_rows(rng, trials, n):
-    return (
-        rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-    ) / math.sqrt(2.0)
+def _random_pair(grid, trials: int, seed: int):
+    """Two seeded trials x N batches of unit-variance complex Gaussian rows,
+    each drawn when it is taken."""
+    rng = np.random.default_rng(seed)
+    n = grid.shape[0]
+    return ((rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n)))
+            / math.sqrt(2.0) for _ in range(2))
+
+
+def _ratio_report(phis, combine, r1, r2, w: float, precondition: str, pre_ok: bool,
+                  trials: int, seed: int) -> dict:
+    """The verifiers' report: max |combine(f1, f2)|_{Phi0} / (|f1|_{Phi1} |f2|_{Phi2})
+    over the rows f1 of r1 and f2 of r2, and whether it is at most 2."""
+    phi0, phi1, phi2 = phis
+    # combined here, its rows are freed once their norms are taken
+    n0 = _luxemburg_batch(np.abs(combine(r1, r2)), w, phi0)
+    n1 = _luxemburg_batch(np.abs(r1), w, phi1)
+    n2 = _luxemburg_batch(np.abs(r2), w, phi2)
+    mr = float(np.max(n0 / (n1 * n2)))
+    return {
+        "max_ratio": mr,
+        "holds": bool(mr <= 2.0),
+        "precondition": precondition,
+        "precondition_ok": pre_ok,
+        "trials": trials,
+        "seed": seed,
+    }
 
 
 def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
@@ -188,36 +211,16 @@ def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
     inverse-product comparison, or the pointwise two-variable sum bound
     (the latter is what conjugate pairs satisfy exactly).
     """
-    grid = make_grid()
-    n = grid.shape[0]
-    w = grid.weight
-
     if _inverse_product_ok(phi0._inverse_array, phi1, phi2):
         precondition = "inverse_product"
-        pre_ok = True
     elif _young_sum_ok(phi0, phi1, phi2):
         precondition = "young_sum"
-        pre_ok = True
     else:
         precondition = "none"
-        pre_ok = False
-
-    rng = np.random.default_rng(seed)
-    r1 = _random_rows(rng, trials, n)
-    r2 = _random_rows(rng, trials, n)
-    n0 = _luxemburg_batch(np.abs(r1 * r2), w, phi0)
-    n1 = _luxemburg_batch(np.abs(r1), w, phi1)
-    n2 = _luxemburg_batch(np.abs(r2), w, phi2)
-    ratios = n0 / (n1 * n2)
-    mr = float(np.max(ratios))
-    return {
-        "max_ratio": mr,
-        "holds": bool(mr <= 2.0),
-        "precondition": precondition,
-        "precondition_ok": pre_ok,
-        "trials": trials,
-        "seed": seed,
-    }
+    grid = make_grid()
+    r1, r2 = _random_pair(grid, trials, seed)
+    return _ratio_report((phi0, phi1, phi2), np.multiply, r1, r2, grid.weight,
+                         precondition, precondition != "none", trials, seed)
 
 
 def verify_young_convolution(phi0: YoungFunction, phi1: YoungFunction,
@@ -226,29 +229,12 @@ def verify_young_convolution(phi0: YoungFunction, phi1: YoungFunction,
     """Empirical check of |f1 * f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2} for
     periodic Riemann-sum convolution, with supports confined to the middle
     half of the axis so the circular convolution agrees with the real one."""
-    grid = make_grid()
-    n = grid.shape[0]
-    w = grid.weight
-    x = grid.axes[0].points
-    half = grid.axes[0].half_extent
-    mask = np.abs(x) <= half / 2.0
-
     pre_ok = _inverse_product_ok(lambda s: s * phi0._inverse_array(s), phi1, phi2)
-
-    rng = np.random.default_rng(seed)
-    r1 = _random_rows(rng, trials, n) * mask
-    r2 = _random_rows(rng, trials, n) * mask
-    conv = np.fft.ifft(np.fft.fft(r1, axis=1) * np.fft.fft(r2, axis=1), axis=1) * w
-    n0 = _luxemburg_batch(np.abs(conv), w, phi0)
-    n1 = _luxemburg_batch(np.abs(r1), w, phi1)
-    n2 = _luxemburg_batch(np.abs(r2), w, phi2)
-    ratios = n0 / (n1 * n2)
-    mr = float(np.max(ratios))
-    return {
-        "max_ratio": mr,
-        "holds": bool(mr <= 2.0),
-        "precondition": "inverse_product",
-        "precondition_ok": pre_ok,
-        "trials": trials,
-        "seed": seed,
-    }
+    grid = make_grid()
+    w = grid.weight
+    mask = np.abs(grid.axes[0].points) <= grid.axes[0].half_extent / 2.0
+    r1, r2 = (r * mask for r in _random_pair(grid, trials, seed))
+    return _ratio_report(
+        (phi0, phi1, phi2),
+        lambda a, b: np.fft.ifft(np.fft.fft(a, axis=1) * np.fft.fft(b, axis=1), axis=1) * w,
+        r1, r2, w, "inverse_product", pre_ok, trials, seed)

@@ -82,6 +82,8 @@ def stft(f: Field, window: Field) -> Field:
 
 
 def _split_phase(F: Field):
+    """(d, base) of a field on phase_grid(base), which every phase-field
+    entry point needs: its DFT identities hold only when dx dxi = 2pi/N."""
     nd = F.grid.dimension
     if nd % 2 != 0:
         raise ValueError("phase fields have an even number of axes")
@@ -89,20 +91,18 @@ def _split_phase(F: Field):
     if F.grid.roles != ("x",) * d + ("xi",) * d:
         raise ValueError("expected axis roles x...x xi...xi")
     base = Grid(F.grid.axes[:d])
+    if not F.grid.matches(phase_grid(base)):
+        raise ValueError("a phase field needs the xi axes dual to the x axes, each "
+                         "xi axis dual to the x axis it pairs with (dx dxi = 2pi/N)")
     return d, base
 
 
 def stft_adjoint(F: Field, window: Field) -> Field:
     """Adjoint of the STFT: g(y) = (2pi)^(-d/2) integral integral F(x, xi)
-    window(y - x) exp(i<y, xi>) dx dxi, by quadrature.  The grid must be
-    phase_grid(base): the inverse transform along xi lands on x only when the
-    xi axes are dual to the x axes."""
+    window(y - x) exp(i<y, xi>) dx dxi, by quadrature."""
     d, base = _split_phase(F)
     if not base.matches(window.grid):
         raise ValueError("phase field does not match the window grid")
-    if not F.grid.matches(phase_grid(base)):
-        raise ValueError("the STFT adjoint needs the xi axes dual to the x axes "
-                         "(dx dxi = 2pi/N)")
     B = inverse_fourier_transform(F, axes=tuple(range(d, 2 * d)))
     vals = np.sum(_translates(window.values) * B.values, axis=tuple(range(d))) * base.weight
     return Field(window.grid, vals)
@@ -126,14 +126,10 @@ def twisted_convolution(F: Field, G: Field) -> Field:
     g[y, b - s] w^(-y s) with w = exp(2pi i/N).  Along xi its DFT is
     h^[a, q] = sum_y f^[a - y, q + y] g^[y, q], the Schroedinger matrix
     product K_H = K_F K_G with K_F[p, q] = f^[p - q, q], read back along the
-    wrapped diagonals h^[a, q] = K_H[q + a, q]: one complex matmul, O(N^3).
-    The grid must be phase_grid(base); another xi extent breaks the identity."""
+    wrapped diagonals h^[a, q] = K_H[q + a, q]: one complex matmul, O(N^3)."""
     d, base = _split_phase(F)
     if d != 1:
         raise ValueError("twisted convolution is implemented for a 1-d base grid")
-    if not F.grid.matches(phase_grid(base)):
-        raise ValueError("twisted convolution needs the xi axis dual to the x axis "
-                         "(dx dxi = 2pi/N)")
     if not F.grid.matches(G.grid):
         raise ValueError("grid mismatch in twisted convolution")
     n = base.axes[0].n

@@ -66,13 +66,14 @@ class YoungFunction:
     _intercept: float = _landmark()  # lim (slope_end s - Phi(s)); nan without a linear tail
     _top: float = _landmark()  # sup Phi on [0, t2); None when only evaluation tells
     _power_form: tuple = _landmark()  # (c, p) when Phi(t) = c t^p, else None
+    _knots: tuple = _landmark()  # a table's knot t, knot values, and piece slopes, tail last
 
     def __post_init__(self):
         if not (0.0 < self.quasi_order <= 1.0):
             raise ValueError("quasi_order must lie in (0, 1]")
         k, inf = self.kind, math.inf
         marks = {"_t1": 0.0, "_t2": inf, "_slope0": 0.0, "_slope_end": inf,
-                 "_intercept": math.nan, "_top": inf, "_power_form": None}
+                 "_intercept": math.nan, "_top": inf, "_power_form": None, "_knots": None}
         if k == "power":
             p, s = self.params.get("p"), self.params.get("s", 1.0)
             if p is None or p <= 0:
@@ -98,24 +99,20 @@ class YoungFunction:
             knots = self.params.get("knots")
             if not knots or list(knots[0]) != [0.0, 0.0]:
                 raise ValueError("table needs knots starting at (0, 0)")
-            ts = [kn[0] for kn in knots]
-            vs = [kn[1] for kn in knots]
-            if sorted(ts) != ts or len(set(ts)) != len(ts):
+            ts, vs = np.array(knots, dtype=float).T.copy()
+            if np.any(np.diff(ts) <= 0):
                 raise ValueError("table knots must have strictly increasing t")
-            slopes = [
-                (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)
-            ]
-            if any(s2 < s1 - 1e-12 for s1, s2 in zip(slopes, slopes[1:])):
-                raise ValueError("table knots are not convex")
             tail = self.params.get("tail_slope", inf)
-            if slopes and tail < slopes[-1] - 1e-12:
-                raise ValueError("tail slope breaks convexity")
-            nonzero = [i for i, v in enumerate(vs) if v != 0.0]
-            marks.update(_t1=ts[nonzero[0] - 1] if nonzero else ts[-1],
-                         _slope0=slopes[0] if slopes else tail, _slope_end=tail,
-                         _intercept=tail * ts[-1] - vs[-1])
+            steps = np.append(np.diff(vs) / np.diff(ts), tail)
+            if np.any(steps[1:] < steps[:-1] - 1e-12):
+                raise ValueError("table knots and tail slope are not convex")
+            nonzero = np.flatnonzero(vs)
+            t_end, v_end = float(ts[-1]), float(vs[-1])
+            marks.update(_t1=float(ts[nonzero[0] - 1]) if nonzero.size else t_end,
+                         _slope0=float(steps[0]), _slope_end=tail,
+                         _intercept=tail * t_end - v_end, _knots=(ts, vs, steps))
             if math.isinf(tail):
-                marks.update(_t2=ts[-1], _top=vs[-1])
+                marks.update(_t2=t_end, _top=v_end)
         elif k == "conjugate":
             base = self.params.get("base")
             if base is None:
@@ -228,10 +225,8 @@ class YoungFunction:
             out[m] = -tm / np.log(tm)
             return out
         if k == "table":
-            knots = self.params["knots"]
-            ts = np.array([kn[0] for kn in knots])
-            vs = np.array([kn[1] for kn in knots])
-            tail = self.params.get("tail_slope", math.inf)
+            ts, vs, _ = self._knots
+            tail = self._slope_end
             out = np.interp(t, ts, vs)
             beyond = t > ts[-1]
             if math.isinf(tail):
@@ -274,14 +269,8 @@ class YoungFunction:
             out[m] = (1.0 + u) / (u * u)
             return out
         if k == "table":
-            knots = self.params["knots"]
-            ts = np.array([kn[0] for kn in knots])
-            vs = np.array([kn[1] for kn in knots])
-            slopes = np.diff(vs) / np.diff(ts)
-            tail = self.params.get("tail_slope", math.inf)
-            idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)
-            out = np.where(idx < len(slopes), slopes[np.minimum(idx, len(slopes) - 1)], tail)
-            return np.asarray(out, dtype=float)
+            ts, _, steps = self._knots
+            return steps[np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)]
         if k == "conjugate":
             # derivative of the Legendre transform is the argmax map
             return _conjugate_argmax(self.params["base"], np.asarray(t, dtype=float))
@@ -478,10 +467,8 @@ def _conjugate_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
     t2 = base.infinity_point()
     v_max = math.log(np.nextafter(t2, 0.0)) if math.isfinite(t2) else _LOG_LARGEST
     if base.kind == "table":
-        knots = np.array(base.params["knots"])
-        steps = np.append(np.diff(knots[:, 1]) / np.diff(knots[:, 0]),
-                          base.params.get("tail_slope", math.inf))
-        ends = np.append(knots[:, 0], math.exp(v_max))
+        ts, _, steps = base._knots
+        ends = np.append(ts, math.exp(v_max))
         return np.maximum(ends[np.searchsorted(steps, t, side="right")],
                           math.exp(_LOG_SMALLEST))
     ts = t.reshape(-1)

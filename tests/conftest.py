@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -22,9 +20,7 @@ def grid256():
 
 
 def gaussian_window(grid, lam=1.0):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return o.make_gaussian(grid, lam)
+    return o.make_gaussian(grid, lam)
 
 
 def noise_field(grid, seed):

@@ -9,11 +9,14 @@ from orlicztf import psido, verify
 from orlicztf.field import make_gaussian_mix, make_grid, phase_grid
 
 CRITERIA = list(verify.CRITERIA)
+RECORD_KEYS = ["name", "value", "tolerance", "passed", "timing_ms", "details"]
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[n for n, _ in CRITERIA])
 def test_criterion(name, fn):
+    # the call run_all makes for this registry entry
     record = fn()
+    assert list(record) == RECORD_KEYS and record["name"] == name
     verdict = "PASS" if record["passed"] else "FAIL"
     line = (f"{verdict} {name}: value={record['value']} "
             f"tolerance={record['tolerance']}")
@@ -30,6 +33,25 @@ def test_run_all_aggregates():
     assert out["all_passed"]
     assert [r["name"] for r in out["results"]] \
         == ["moyal_isometry", "embedding_lattice"]
+    assert all(list(r) == RECORD_KEYS for r in out["results"])
+    with pytest.raises(KeyError, match="unknown criteria"):
+        verify.run_all(names=["moyal_isometry", "nosuch"])
+
+
+def test_holder_young_inequalities_composes_the_two_inequalities():
+    """The joint criterion is the worse of the two, passes when both do,
+    and reports the same per-triple ratios."""
+    kw = dict(trials=100, seed=7)
+    h = verify.holder_inequality(**kw)
+    y = verify.young_convolution_inequality(**kw)
+    both = verify.holder_young_inequalities(**kw)
+    assert both["value"] == max(h["value"], y["value"])
+    assert both["tolerance"] == h["tolerance"] == y["tolerance"] == 2.0
+    assert both["passed"] == (h["passed"] and y["passed"])
+    assert both["details"] == {"holder": h["details"]["per_triple"],
+                               "young": y["details"]["per_triple"], **kw}
+    assert [r["name"] for r in (h, y, both)] == [
+        "holder_inequality", "young_convolution_inequality", "holder_young_inequalities"]
 
 
 def test_opnorm_ratio_stability_takes_one_symbol_norm_per_seed(monkeypatch):

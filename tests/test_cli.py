@@ -80,9 +80,10 @@ def test_young_conjugate_closed_form_row_at_non_finite(capsys, at, want):
     (["young", "evaluate", "--kind", "log_example", "--at", "nan"], "nan"),
     (["young", "evaluate", "--kind", "conjugate:power:1", "--at", "nan"], "nan"),
     (["young", "conjugate", "--kind", "power:1", "--at", "nan"], "nan"),
+    (["entropy", "eval", "--input", "gaussian:1", "--L", "1e200", "--N", "16"], "nan"),
 ], ids=["conjugate-power2", "conjugate-power3", "luxemburg-exponential-weight",
         "probe-nan-amplitude", "cap-nan", "tan-nan", "log-nan", "conjugate-power1-nan",
-        "power1-conjugate-nan"])
+        "power1-conjugate-nan", "entropy-overflowing-extent"])
 def test_non_finite_values_come_without_warnings(capsys, argv, want):
     """Phi*(inf) = inf, an exponential weight that overflows is inf, a
     NaN perturbation has NaN norm and entropy change, and every Young
@@ -93,6 +94,21 @@ def test_non_finite_values_come_without_warnings(capsys, argv, want):
     out, err = capsys.readouterr()
     assert code == 0 and err == "" and not caught
     assert json.loads(out)["results"][0]["value"] == want
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (["entropy", "probe", "--input", "gaussian:1", "--L", "1e155", "--N", "16"], 0),
+    (["verify", "moyal", "--N", "16", "--L", "1e200", "--trials", "2"], 1),
+], ids=["entropy-probe", "verify-moyal"])
+def test_overflowing_extents_leave_stderr_empty(capsys, argv, want_code):
+    """Squares of samples near 1e100 overflow; the report says so with
+    "inf" or "nan", and stderr stays empty."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == want_code and err == "" and not caught
+    json.loads(out, parse_constant=_reject_constant)
 
 
 def _reject_constant(name):
@@ -175,6 +191,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         json.dump(doc, fh)
     for argv, message in (
             (["transform", "project", "--input", wide_xi], "xi axes dual to the x axes"),
+            (["psido", "kernel", "--symbol", wide_xi], "xi axes dual to the x axes"),
             (["norm", "luxemburg", "--input", "gaussian:1", "--N", "16", "--L", "inf"],
              "half-extent must be finite and positive"),
             (["verify", "moyal", "--trials", "0"], "must be an integer >= 1"),

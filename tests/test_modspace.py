@@ -28,10 +28,8 @@ def _moyal_cases():
     g1, g2 = o.make_grid(64, 8.0), o.phase_grid(o.make_grid(32, 6.0))
     for grid in (g1, g2):
         d = grid.dimension
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            windows = {"gaussian": o.make_gaussian(grid, 1.3, x0=[0.4, -0.9][:d]),
-                       "mix": o.make_gaussian_mix(grid, 17)}
+        windows = {"gaussian": o.make_gaussian(grid, 1.3, x0=[0.4, -0.9][:d]),
+                   "mix": o.make_gaussian_mix(grid, 17)}
         for name, window in windows.items():
             for label, phi in (("c1", P2), ("c1/4", P2.conjugate())):
                 yield pytest.param(grid, window, phi, id=f"d{d}-{name}-{label}")

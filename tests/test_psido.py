@@ -6,6 +6,7 @@ import pytest
 import orlicztf as o
 from conftest import noise_field, upsample2
 from orlicztf import ModulationSpaceSpec, YoungFunction
+from orlicztf.field import Axis
 
 
 def phase_mesh(pg):
@@ -106,6 +107,19 @@ def test_quantization_consistency(grid128):
     for t1, t2 in ((0.0, 0.5), (0.5, 1.0), (0.3, 0.7)):
         r = o.calculi_consistency(a, t1, t2, f)
         assert r["max_error"] < 1e-10
+
+
+def test_symbol_needs_a_xi_axis_dual_to_x(grid64):
+    """A symbol whose xi extent is doubled is rejected, not read as the
+    symbol of a kernel with twice the norm."""
+    a = o.make_gaussian_mix(o.phase_grid(grid64), 9)
+    x, xi = a.grid.axes
+    wide = o.Field(o.Grid((x, Axis(xi.n, 2.0 * xi.half_extent)), a.grid.roles), a.values)
+    f = o.make_gaussian_mix(grid64, 10)
+    for call in (lambda: o.kernel(wide, 0.3), lambda: o.apply(wide, 0.0, f),
+                 lambda: o.calculi_consistency(wide, 0.0, 0.5, f)):
+        with pytest.raises(ValueError, match="xi axes dual to the x axes"):
+            call()
 
 
 def test_reduce_symbol_resolution_invariant():

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -222,10 +221,8 @@ def test_stft_of_kernel_matches_shifted_stft_of_symbol():
     a = o.make_gaussian_mix(pg, 17)
     K = o.kernel(a, 0.0)
     kf = o.Field(o.Grid((g.axes[0], g.axes[0])), K.matrix)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w2 = o.make_gaussian(kf.grid, 1.0)
-        base = o.make_gaussian(pg, 1.0)
+    w2 = o.make_gaussian(kf.grid, 1.0)
+    base = o.make_gaussian(pg, 1.0)
     X, XI = [np.ascontiguousarray(np.broadcast_to(v, pg.shape))
              for v in pg.mesh()]
     psi = o.Field(pg, np.exp(-1j * X * XI) * base.values)
@@ -277,9 +274,7 @@ def test_stft_and_adjoint_match_gather_oracle(d, n):
     index-gather and roll formulas, for n = 0 and 2 mod 4; the window is off
     centre and modulated, so a reversed circulant or a wrong sign shows."""
     g = o.make_grid(n, 6.0, d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        window = o.make_gaussian(g, 1.3, x0=[0.7, -1.9][:d], xi0=[-1.1, 0.4][:d])
+    window = o.make_gaussian(g, 1.3, x0=[0.7, -1.9][:d], xi0=[-1.1, 0.4][:d])
     f = noise_field(g, 3)
     ref = gathered_stft(f, window)
     got = o.stft(f, window).values

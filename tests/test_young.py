@@ -321,6 +321,17 @@ def test_argmax_at_table_slopes_is_the_far_knot():
     assert np.all(_rel(got, _argmax_by_bisection(base, t)) <= 1e-10)
 
 
+def test_table_derivative_is_the_slope_of_each_piece():
+    """Phi' of a table is the right slope at each point, the tail's from the
+    last knot on; a table of the origin alone is its tail."""
+    t = np.array([0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 10.0])
+    got = TABLES["table_finite_tail"].derivative(t)
+    assert list(got) == [0.5, 0.5, 1.5, 1.5, 3.0, 4.0, 4.0]
+    ray = YoungFunction.table([(0.0, 0.0)], tail_slope=2.0)
+    assert list(ray.derivative(t)) == [2.0] * len(t)
+    assert ray.evaluate(3.0) == 6.0 and ray.conjugate().evaluate(1.0) == 0.0
+
+
 def test_biconjugate_at_a_finite_jump_point():
     """Phi**(t2) = Phi(t2) where Phi is finite at its jump point t2: the
     conjugate's linear tail has intercept sup Phi on [0, t2)."""
