@@ -7,8 +7,18 @@ Every run prints a JSON report with the schema
 
 where each result row is {"name", "value", "tolerance", "pass"}.  Reports
 are byte-identical for identical argv and seed, except for the timing
-field.  Exit codes: 0 all checks passed, 1 a numerical check failed,
-2 usage error.
+field.
+
+Each subcommand handler returns (rows, data).  data is what --out saves:
+a field, the lambda table of `entropy scan`, or None, in which case --out
+takes the report in the --format given.  main writes it.
+
+One pass rule covers every row with a tolerance: it passes only when its
+value is at most the tolerance, so a NaN value fails.  A row without a
+tolerance passes.  Two kinds of row keep a pass of their own: the bound
+row of `entropy lieb` (the entropy is at least the bound) and the records
+of `verify`.
+Exit codes: 0 all rows passed, 1 a numerical check failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from .field import (
     make_gaussian_mix,
     make_grid,
     make_hermite,
+    make_noise,
     make_random_bandlimited,
     phase_grid,
     save_csv,
@@ -135,12 +146,6 @@ _SPACE_KINDS = {
 }
 
 
-def _noise(grid: Grid, seed: int) -> Field:
-    rng = np.random.default_rng(seed)
-    return Field(grid, rng.standard_normal(grid.shape)
-                 + 1j * rng.standard_normal(grid.shape))
-
-
 # builders get (grid, --seed, *args); a seed argument left out means --seed
 _SIGNAL_KINDS = {
     "gaussian": (lambda g, seed, lam, x0, xi0: make_gaussian(g, lam, x0=x0, xi0=xi0),
@@ -148,7 +153,7 @@ _SIGNAL_KINDS = {
     "hermite": (lambda g, seed, n: make_hermite(g, n), (int, 0)),
     "mix": (lambda g, seed, s, terms: make_gaussian_mix(
         g, seed if s is None else s, terms=terms), (int, None), (int, 3)),
-    "noise": (lambda g, seed, s: _noise(g, seed if s is None else s), (int, None)),
+    "noise": (lambda g, seed, s: make_noise(g, seed if s is None else s), (int, None)),
     "bandlimited": (lambda g, seed, s, band: make_random_bandlimited(
         g, seed if s is None else s, band=band), (int, None), (float, 5.0)),
 }
@@ -178,18 +183,16 @@ def load_field(path: str) -> Field:
     return load_json(path) if path.endswith(".json") else load_csv(path)
 
 
-def save_field(f: Field, path: str) -> None:
-    if path.endswith(".json"):
-        save_json(f, path)
-    else:
-        save_csv(f, path)
-
-
 # -- report plumbing -----------------------------------------------------------
 
 
 def _row(name, value, tolerance=None, ok=True) -> dict:
     return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(ok)}
+
+
+def _check(name, value, tol) -> dict:
+    """A row with a tolerance: it passes only when value <= tol, so NaN fails."""
+    return _row(name, value, tol, value <= tol)
 
 
 def _jsonable(x):
@@ -209,20 +212,36 @@ def _jsonable(x):
     return x
 
 
-def _emit(report: dict, fmt: str, out: str | None, data_written: bool) -> None:
+def _save(data, path: str) -> None:
+    """Write a handler's data: a field by the path's extension, or the rows
+    of the lambda-family table as CSV."""
+    if isinstance(data, Field) and path.endswith(".json"):
+        save_json(data, path)
+    elif isinstance(data, Field):
+        save_csv(data, path)
+    else:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["lambda", "entropy", "M2_norm", "MPhi_norm"])
+            for row in data:
+                w.writerow([row["lam"], repr(row["entropy"]),
+                            repr(row["M2_norm"]), repr(row["MPhi_norm"])])
+
+
+def _emit(report: dict, fmt: str, out: str | None) -> None:
+    """Print the report; with out, also write it there by fmt."""
     text = json.dumps(_jsonable(report), indent=2)
     print(text)
-    if out and not data_written:
-        if fmt == "csv":
-            with open(out, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["name", "value", "tolerance", "pass"])
-                for r in report["results"]:
-                    w.writerow([r["name"], json.dumps(_jsonable(r["value"])),
-                                json.dumps(_jsonable(r["tolerance"])), r["pass"]])
-        else:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
+    if out and fmt == "csv":
+        with open(out, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["name", "value", "tolerance", "pass"])
+            for r in report["results"]:
+                w.writerow([r["name"], json.dumps(_jsonable(r["value"])),
+                            json.dumps(_jsonable(r["tolerance"])), r["pass"]])
+    elif out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -232,27 +251,12 @@ def _grid(args) -> Grid:
     return make_grid(args.N, args.L, args.d)
 
 
-def cmd_young(args) -> list:
+def cmd_young(args) -> tuple:
     phi = parse_young(args.kind)
     if args.action == "evaluate":
-        return [_row("value", phi.evaluate(args.at))]
-    if args.action == "conjugate":
-        conj = phi.conjugate()
-        rows = [_row("conjugate_value", conj.evaluate(args.at))]
-        if phi == YoungFunction.log_example() and not math.isnan(args.at):
-            # Phi*(t) = 0 for t <= 0, the t -> 0 limit of the closed form,
-            # and Phi*(inf) = inf, where the closed form reads inf - inf
-            closed = 0.0 if args.at <= 0 else math.inf
-            if 0 < args.at < math.inf:
-                s = math.sqrt(0.25 + args.at)
-                closed = (args.at + 0.5 - s) * math.exp(-(0.5 + s) / args.at)
-            num = rows[0]["value"]
-            err = 0.0 if num == closed else abs(num - closed) / (closed if closed > 0 else 1.0)
-            rows.append(_row("closed_form_rel_error", err, args.tol or 1e-6,
-                             err <= (args.tol or 1e-6)))
-        return rows
+        return [_row("value", phi.evaluate(args.at))], None
     if args.action == "inverse":
-        return [_row("essential_inverse", phi.essential_inverse(args.at))]
+        return [_row("essential_inverse", phi.essential_inverse(args.at))], None
     if args.action == "classify":
         d2g = check_delta2(phi, "global")
         d2l = check_delta2(phi, "local", args.radius)
@@ -264,17 +268,23 @@ def cmd_young(args) -> list:
             _row("doubling_global", d2g["holds"]),
             _row("doubling_local", d2l["holds"]),
             _row(f"steered_at_{args.steer}", steer["steered"]),
-        ]
-    raise argparse.ArgumentTypeError(f"unknown young action {args.action}")
+        ], None
+    rows = [_row("conjugate_value", phi.conjugate().evaluate(args.at))]
+    if phi == YoungFunction.log_example() and not math.isnan(args.at):
+        # Phi*(t) = 0 for t <= 0, the t -> 0 limit of the closed form,
+        # and Phi*(inf) = inf, where the closed form reads inf - inf
+        closed = 0.0 if args.at <= 0 else math.inf
+        if 0 < args.at < math.inf:
+            s = math.sqrt(0.25 + args.at)
+            closed = (args.at + 0.5 - s) * math.exp(-(0.5 + s) / args.at)
+        num = rows[0]["value"]
+        err = 0.0 if num == closed else abs(num - closed) / (closed if closed > 0 else 1.0)
+        rows.append(_check("closed_form_rel_error", err, args.tol or 1e-6))
+    return rows, None
 
 
-def cmd_norm(args) -> list:
+def cmd_norm(args) -> tuple:
     g = _grid(args)
-    if args.action == "luxemburg":
-        f = make_signal(args.input, g, args.seed)
-        phi = parse_young(args.young)
-        w = parse_weight(args.weight)
-        return [_row("luxemburg_norm", luxemburg_norm(f, phi, w))]
     if args.action == "mixed":
         F = load_field(args.input)
         phi, psi = parse_young(args.phi), parse_young(args.psi)
@@ -284,43 +294,23 @@ def cmd_norm(args) -> list:
         else:
             stages = ((tuple(range(d, 2 * d)), psi), (tuple(range(d)), phi))
         spec = MixedNormSpec(stages, parse_weight(args.weight))
-        return [_row("mixed_norm", mixed_norm(F, spec))]
-    if args.action == "modulation":
-        f = make_signal(args.input, g, args.seed)
-        spec = parse_space(args.space)
-        return [_row("modulation_norm", modulation_norm(f, spec))]
-    raise argparse.ArgumentTypeError(f"unknown norm action {args.action}")
+        return [_row("mixed_norm", mixed_norm(F, spec))], None
+    f = make_signal(args.input, g, args.seed)
+    if args.action == "luxemburg":
+        phi = parse_young(args.young)
+        return [_row("luxemburg_norm", luxemburg_norm(f, phi, parse_weight(args.weight)))], None
+    return [_row("modulation_norm", modulation_norm(f, parse_space(args.space)))], None
 
 
 def cmd_transform(args) -> tuple:
     g = _grid(args)
-    data_written = False
-    if args.action == "stft":
-        f = make_signal(args.input, g, args.seed)
-        phi = make_signal(args.window, g, args.seed)
-        V = stft(f, phi)
-        rows = [_row("stft_l2_norm", l2_norm(V)),
-                _row("moyal_rel_error",
-                     abs(l2_norm(V) - l2_norm(f) * l2_norm(phi))
-                     / (l2_norm(f) * l2_norm(phi)), args.tol or 1e-8, True)]
-        out_field = V
-    elif args.action == "wigner":
-        f1 = make_signal(args.input, g, args.seed)
-        f2 = make_signal(args.input2 or args.input, g, args.seed)
-        W = wigner(f1, f2, args.A)
-        rows = [_row("wigner_l2_norm", l2_norm(W)),
-                _row("l2_product_rel_error",
-                     abs(l2_norm(W) - l2_norm(f1) * l2_norm(f2))
-                     / (l2_norm(f1) * l2_norm(f2)), args.tol or 1e-7, True)]
-        out_field = W
-    elif args.action == "twisted":
+    if args.action == "twisted":
         if args.input2 is None:
             raise argparse.ArgumentTypeError("transform twisted needs --input2")
         F = load_field(args.input)
-        G = load_field(args.input2)
-        out_field = twisted_convolution(F, G)
-        rows = [_row("twisted_l2_norm", l2_norm(out_field))]
-    elif args.action == "project":
+        H = twisted_convolution(F, load_field(args.input2))
+        return [_row("twisted_l2_norm", l2_norm(H))], H
+    if args.action == "project":
         F = load_field(args.input)
         base = make_grid(F.grid.axes[0].n, F.grid.axes[0].half_extent,
                          F.grid.dimension // 2)
@@ -328,41 +318,32 @@ def cmd_transform(args) -> tuple:
         P = stft_projection(F, phi)
         PP = stft_projection(P, phi)
         err = l2_norm(Field(P.grid, PP.values - P.values)) / max(l2_norm(F), 1e-300)
-        rows = [_row("projection_l2_norm", l2_norm(P)),
-                _row("idempotence_rel_error", err, args.tol or 1e-8,
-                     err <= (args.tol or 1e-8))]
-        out_field = P
+        return [_row("projection_l2_norm", l2_norm(P)),
+                _check("idempotence_rel_error", err, args.tol or 1e-8)], P
+    # stft and wigner: |T(f1, f2)|_2 = |f1|_2 |f2|_2 (Moyal)
+    f1 = make_signal(args.input, g, args.seed)
+    if args.action == "stft":
+        f2 = make_signal(args.window, g, args.seed)
+        T = stft(f1, f2)
+        name, tol = "moyal_rel_error", 1e-8
     else:
-        raise argparse.ArgumentTypeError(f"unknown transform action {args.action}")
-    if args.out:
-        save_field(out_field, args.out)
-        data_written = True
-    return rows, data_written
+        f2 = make_signal(args.input2 or args.input, g, args.seed)
+        T = wigner(f1, f2, args.A)
+        name, tol = "l2_product_rel_error", 1e-7
+    product = l2_norm(f1) * l2_norm(f2)
+    err = abs(l2_norm(T) - product) / max(product, 1e-300)
+    return [_row(f"{args.action}_l2_norm", l2_norm(T)),
+            _check(name, err, args.tol or tol)], T
 
 
 def cmd_psido(args) -> tuple:
     g = _grid(args)
-    pg = phase_grid(g)
-    data_written = False
-    rows: list
+    a = make_signal(args.symbol, phase_grid(g), args.seed)
     if args.action == "kernel":
-        a = make_signal(args.symbol, pg, args.seed)
-        K = psido.kernel(a, args.A)
-        rows = [_row("kernel_frobenius_norm",
-                     float(np.linalg.norm(K.matrix)) * g.weight)]
-        if args.out:
-            save_field(Field(Grid((g.axes[0], g.axes[0])), K.matrix), args.out)
-            data_written = True
-    elif args.action == "apply":
-        a = make_signal(args.symbol, pg, args.seed)
-        f = make_signal(args.input, g, args.seed)
-        out_field = psido.apply(a, args.A, f)
-        rows = [_row("output_l2_norm", l2_norm(out_field))]
-        if args.out:
-            save_field(out_field, args.out)
-            data_written = True
-    elif args.action == "opnorm":
-        a = make_signal(args.symbol, pg, args.seed)
+        K = psido.kernel(a, args.A).matrix
+        return ([_row("kernel_frobenius_norm", float(np.linalg.norm(K)) * g.weight)],
+                Field(Grid((g.axes[0], g.axes[0])), K))
+    if args.action == "opnorm":
         sym_space = parse_space(args.symbol_space) if args.symbol_space else None
         r = psido.estimate_operator_norm(
             a, args.A, parse_space(args.domain), parse_space(args.codomain),
@@ -372,54 +353,28 @@ def cmd_psido(args) -> tuple:
         if r["ratio_to_symbol_norm"] is not None:
             rows.append(_row("symbol_norm", r["symbol_norm"]))
             rows.append(_row("ratio_to_symbol_norm", r["ratio_to_symbol_norm"]))
-    elif args.action == "calculi":
-        a = make_signal(args.symbol, pg, args.seed)
-        f = make_signal(args.input, g, args.seed)
-        r = psido.calculi_consistency(a, args.A1, args.A2, f)
-        tol = args.tol or 1e-6
-        rows = [_row("calculi_max_error", r["max_error"], tol,
-                     r["max_error"] <= tol)]
-    else:
-        raise argparse.ArgumentTypeError(f"unknown psido action {args.action}")
-    return rows, data_written
+        return rows, None
+    f = make_signal(args.input, g, args.seed)
+    if args.action == "apply":
+        h = psido.apply(a, args.A, f)
+        return [_row("output_l2_norm", l2_norm(h))], h
+    r = psido.calculi_consistency(a, args.A1, args.A2, f)
+    return [_check("calculi_max_error", r["max_error"], args.tol or 1e-6)], None
 
 
 def cmd_entropy(args) -> tuple:
     g = _grid(args)
-    data_written = False
-    if args.action == "eval":
-        f = make_signal(args.input, g, args.seed)
-        w = make_signal(args.window, g, args.seed) if args.window else None
-        r = entropy_functional(f, w)
-        rows = [_row("entropy", r.value),
-                _row("l2_norm_f", r.l2_norm_f),
-                _row("l2_norm_window", r.l2_norm_window)]
-    elif args.action == "scan":
+    if args.action == "scan":
         lambdas = [float(t) for t in args.lambdas.split(",")]
         scan = gaussian_family_scan(lambdas)
         rows = [_row(f"entropy_lambda_{r['lam']:g}", r["entropy"])
                 for r in scan["rows"]]
         rows.append(_row("constant_fit", scan["constant_fit"]))
-        rows.append(_row("constant_spread", scan["constant_spread"],
-                         args.tol or 1e-4,
-                         scan["constant_spread"] <= (args.tol or 1e-4)))
-        if args.out:
-            table = lambda_family_table(lambdas)
-            with open(args.out, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["lambda", "entropy", "M2_norm", "MPhi_norm"])
-                for row in table:
-                    w.writerow([row["lam"], repr(row["entropy"]),
-                                repr(row["M2_norm"]), repr(row["MPhi_norm"])])
-            data_written = True
-    elif args.action == "lieb":
-        f = make_signal(args.input, g, args.seed)
-        w = make_signal(args.window, g, args.seed) if args.window else None
-        r = lieb_bound_check(f, w)
-        rows = [_row("entropy", r["entropy"]),
-                _row("bound", r["bound"], r["bound"], r["satisfied"])]
-    elif args.action == "probe":
-        f = make_signal(args.input, g, args.seed)
+        rows.append(_check("constant_spread", scan["constant_spread"], args.tol or 1e-4))
+        # the table's M^Phi norms are the expensive part: only for --out
+        return rows, lambda_family_table(lambdas) if args.out else None
+    f = make_signal(args.input, g, args.seed)
+    if args.action == "probe":
         direction = make_signal(args.direction, g, args.seed)
         amplitudes = [float(t) for t in args.amplitudes.split(",")]
         r = continuity_probe(f, direction, amplitudes, parse_space(args.space))
@@ -428,9 +383,17 @@ def cmd_entropy(args) -> tuple:
                       "delta_entropy": row["delta_entropy"]})
                 for row in r["rows"]]
         rows.append(_row("fitted_constant", r["fitted_constant"]))
-    else:
-        raise argparse.ArgumentTypeError(f"unknown entropy action {args.action}")
-    return rows, data_written
+        return rows, None
+    w = make_signal(args.window, g, args.seed) if args.window else None
+    if args.action == "eval":
+        r = entropy_functional(f, w)
+        return [_row("entropy", r.value),
+                _row("l2_norm_f", r.l2_norm_f),
+                _row("l2_norm_window", r.l2_norm_window)], None
+    r = lieb_bound_check(f, w)
+    # the bound row passes when the entropy is at least the bound
+    return [_row("entropy", r["entropy"]),
+            _row("bound", r["bound"], r["bound"], r["satisfied"])], None
 
 
 def _criterion(name: str):
@@ -451,9 +414,9 @@ _VERIFY = {
 }
 
 
-def cmd_verify(args) -> list:
+def cmd_verify(args) -> tuple:
     return [_row(r["name"], r["value"], r["tolerance"], r["passed"])
-            for r in _VERIFY[args.action](args)]
+            for r in _VERIFY[args.action](args)], None
 
 
 # -- argument tree ---------------------------------------------------------------
@@ -505,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=_nonnegative, default=1.0)
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--steer", type=float, default=2.0)
-    p.set_defaults(handler=lambda a: (cmd_young(a), False))
+    p.set_defaults(handler=cmd_young)
 
     p = sub.add_parser("norm", parents=[common], help="Orlicz and modulation norms")
     p.add_argument("action", choices=("luxemburg", "mixed", "modulation"))
@@ -516,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("M", "W"), default="M")
     p.add_argument("--space", default="M2", help="modulation: space spec")
     p.add_argument("--weight", default="one")
-    p.set_defaults(handler=lambda a: (cmd_norm(a), False))
+    p.set_defaults(handler=cmd_norm)
 
     p = sub.add_parser("transform", parents=[common],
                        help="time-frequency transforms")
@@ -555,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="named verification batteries")
     p.add_argument("action", choices=tuple(_VERIFY))
-    p.set_defaults(handler=lambda a: (cmd_verify(a), False))
+    p.set_defaults(handler=cmd_verify)
 
     return top
 
@@ -568,13 +531,12 @@ def main(argv=None) -> int:
         # a report prints every non-finite value as "nan" or "inf", so
         # numpy's floating-point warnings would only repeat it on stderr
         with np.errstate(all="ignore"):
-            rows, data_written = args.handler(args)
+            rows, data = args.handler(args)
+            if args.out and data is not None:
+                _save(data, args.out)
     except (argparse.ArgumentTypeError, ValueError, FileNotFoundError) as exc:
         parser.error(str(exc))
-    config = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("handler",) and not callable(v)
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     report = {
         "schema": 1,
         "command": args.command + " " + getattr(args, "action", ""),
@@ -582,7 +544,7 @@ def main(argv=None) -> int:
         "results": rows,
         "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
-    _emit(report, args.format, args.out, data_written)
+    _emit(report, args.format, args.out if data is None else None)
     return 0 if all(r["pass"] for r in rows) else 1
 
 

@@ -35,7 +35,6 @@ class EntropyResult:
     value: float
     l2_norm_f: float
     l2_norm_window: float
-    integrand_min_location: tuple
 
 
 def _integral_term(S: np.ndarray, weight: float) -> np.ndarray:
@@ -56,14 +55,11 @@ def entropy(f: Field, window: Field | None = None) -> EntropyResult:
     nf = l2_norm(f)
     V = stft(f, phi)
     S = np.abs(V.values) ** 2
-    contrib = _integral_term(S, V.grid.weight)
-    total = float(contrib.sum())
+    total = float(_integral_term(S, V.grid.weight).sum())
     c = nphi**2 * nf**2
     if c > 0.0:
         total += c * math.log(c)
-    idx = np.unravel_index(np.argmin(contrib), contrib.shape)
-    loc = tuple(float(ax.points[i]) for ax, i in zip(V.grid.axes, idx))
-    return EntropyResult(total, nf, nphi, loc)
+    return EntropyResult(total, nf, nphi)
 
 
 def family_grid(lambdas) -> Grid:

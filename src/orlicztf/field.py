@@ -13,9 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+_CLOSE = 1e-12  # relative tolerance on half-extents when comparing grids
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,9 @@ class Axis:
     def dual(self) -> "Axis":
         return Axis(self.n, math.pi * self.n / (2.0 * self.half_extent))
 
-    def close_to(self, other: "Axis", tol: float = 1e-12) -> bool:
+    def close_to(self, other: "Axis") -> bool:
         return self.n == other.n and math.isclose(
-            self.half_extent, other.half_extent, rel_tol=tol
+            self.half_extent, other.half_extent, rel_tol=_CLOSE
         )
 
 
@@ -96,9 +99,9 @@ class Grid:
         mesh = np.meshgrid(*[ax.points for ax in self.axes], indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def matches(self, other: "Grid", tol: float = 1e-12) -> bool:
+    def matches(self, other: "Grid") -> bool:
         return self.dimension == other.dimension and all(
-            a.close_to(b, tol) for a, b in zip(self.axes, other.axes)
+            a.close_to(b) for a, b in zip(self.axes, other.axes)
         )
 
     def with_dual_axes(self, which) -> "Grid":
@@ -219,6 +222,15 @@ def make_hermite(grid: Grid, n: int) -> Field:
     return Field(grid, h.astype(complex))
 
 
+def make_noise(grid: Grid, seed) -> Field:
+    """Complex white noise: independent standard normal real and imaginary
+    parts.  seed is an int or a numpy Generator, whose stream it continues."""
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal(grid.shape)
+    im = rng.standard_normal(grid.shape)
+    return Field(grid, re + 1j * im)
+
+
 def make_random_bandlimited(grid: Grid, seed: int, band: float) -> Field:
     """Inverse transform of a seeded random spectrum supported in |xi| <= band.
 
@@ -332,19 +344,16 @@ def save_csv(f: Field, path: str) -> None:
 
 
 def load_csv(path: str) -> Field:
+    """A field saved by save_csv.  Blank lines and `#` lines after the header
+    are skipped, and of each row only the last two cells are read."""
     with open(path) as fh:
         try:
             grid = _parse_grid_header(fh.readline().rstrip("\n"))
-            re = []
-            im = []
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.split(",")
-                re.append(float(cells[-2]))
-                im.append(float(cells[-1]))
-            return Field(grid, _samples(re, im, grid.shape))
+            with warnings.catch_warnings():
+                # a header-only file: the reshape below reports it
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", usecols=(-2, -1), ndmin=2)
+            return Field(grid, _samples(body[:, 0], body[:, 1], grid.shape))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path} is not a saved field ({type(exc).__name__}: {exc})") from exc

@@ -24,13 +24,13 @@ from . import psido
 from .entropy import gaussian_family_scan, lambda_family_table, lieb_bound_check
 from .field import (
     Field,
-    Grid,
     inner_product,
     l2_norm,
     make_gaussian,
     make_gaussian_mix,
     make_grid,
     make_hermite,
+    make_noise,
     make_random_bandlimited,
     phase_grid,
 )
@@ -42,12 +42,6 @@ from .modspace import (
 from .orlicz import verify_holder, verify_young_convolution
 from .tfa import quantization_change, stft, stft_adjoint, stft_projection, twisted_convolution, wigner
 from .young import YoungFunction
-
-
-def _noise(grid: Grid, rng) -> Field:
-    re = rng.standard_normal(grid.shape)
-    im = rng.standard_normal(grid.shape)
-    return Field(grid, re + 1j * im)
 
 
 def _criterion(fn):
@@ -82,7 +76,7 @@ def moyal_isometry(n: int = 256, half_extent: float = 12.0, trials: int = 100,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        f = _noise(g, rng)
+        f = make_noise(g, rng)
         target = l2_norm(f) * l2_norm(phi)
         worst = max(worst, abs(l2_norm(stft(f, phi)) - target) / target)
     return worst, tol, worst <= tol, dict(trials=trials, n=n,
@@ -122,14 +116,14 @@ def stft_inversion_projection(n: int = 256, half_extent: float = 12.0,
     rng = np.random.default_rng(seed)
     worst_inv = 0.0
     for _ in range(trials):
-        f = _noise(g, rng)
+        f = make_noise(g, rng)
         rec = stft_adjoint(stft(f, phi), phi)
         err = l2_norm(Field(g, scale * rec.values - f.values)) / l2_norm(f)
         worst_inv = max(worst_inv, err)
     pg = phase_grid(g)
     worst_proj = 0.0
     for _ in range(trials):
-        F = _noise(pg, rng)
+        F = make_noise(pg, rng)
         PF = stft_projection(F, phi)
         PPF = stft_projection(PF, phi)
         err = l2_norm(Field(pg, PPF.values - PF.values)) / l2_norm(F)
@@ -154,7 +148,7 @@ def twisted_reproducing(n: int = 64, half_extent: float = 8.0,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(trials):
-        f = make_gaussian_mix(g, seed + i) if i else _noise(g, rng)
+        f = make_gaussian_mix(g, seed + i) if i else make_noise(g, rng)
         V = stft(f, phi)
         R = twisted_convolution(Vphi, V)
         err = float(np.abs(scale * R.values - V.values).max() / np.abs(V.values).max())

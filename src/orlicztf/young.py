@@ -100,11 +100,12 @@ class YoungFunction:
             if not knots or list(knots[0]) != [0.0, 0.0]:
                 raise ValueError("table needs knots starting at (0, 0)")
             ts, vs = np.array(knots, dtype=float).T.copy()
-            if np.any(np.diff(ts) <= 0):
+            # written so that a NaN fails each check
+            if not np.all(np.diff(ts) > 0):
                 raise ValueError("table knots must have strictly increasing t")
             tail = self.params.get("tail_slope", inf)
             steps = np.append(np.diff(vs) / np.diff(ts), tail)
-            if np.any(steps[1:] < steps[:-1] - 1e-12):
+            if not np.all(steps[1:] >= steps[:-1] - 1e-12):
                 raise ValueError("table knots and tail slope are not convex")
             nonzero = np.flatnonzero(vs)
             t_end, v_end = float(ts[-1]), float(vs[-1])
@@ -541,7 +542,7 @@ def _grid_sup(num, den, lo: float, hi: float, n: int) -> float:
 
 def _compare_near_zero(num, den, r: float, forms) -> dict:
     """Is num(t) <= C den(t) on (0, r]?  The one comparison behind the
-    doubling, lower-growth, inverse-product and embedding checks.
+    doubling, steering, lower-growth, inverse-product and embedding checks.
 
     forms holds the power forms (c, e), num = c t^e, of num and den, or None
     in either place.  With both, exponent arithmetic answers: bounded iff
@@ -628,24 +629,9 @@ def check_p_steered(phi: YoungFunction, p: float, radius: float = 0.5) -> dict:
         }
     t2 = phi.infinity_point()
     top = min(radius, t2 * 0.99) if math.isfinite(t2) else radius
-
-    ks = np.arange(0, 61)
-    ts = top * 0.5 ** ks
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratios = phi._eval_array(ts) / ts ** p
-    ratios = np.where(np.isfinite(ratios), ratios, np.inf)
-    tail = ratios[-31:]
-    nondecr = bool(np.all(np.diff(tail) >= -1e-9 * np.maximum(tail[:-1], 1e-300)))
-    growing = ratios[-1] >= 1.02 * ratios[-31] and ratios[-1] >= 5.0 * ratios[0]
-    if np.isinf(ratios[-1]) or (nondecr and growing):
-        return {
-            "steered": True,
-            "branch": "limsup_infinite",
-            "p": p,
-            "radius": radius,
-            "first_ratio": float(ratios[0]),
-            "last_ratio": float(ratios[-1]),
-        }
+    ratio = _compare_near_zero(phi._eval_array, lambda t: t ** p, top, (None, (1.0, p)))
+    if not ratio["bounded"]:
+        return {"steered": True, "branch": "limsup_infinite", "p": p, "radius": radius}
 
     # branch two: Phi(t^{1/p}) midpoint-convex on some neighborhood of zero;
     # scan dyadically shrinking windows, since "near the origin" only asks

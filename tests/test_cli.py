@@ -243,6 +243,7 @@ _NOT_FIELDS = {
     "no_n.json": '{"grid": {"d": 1, "L": [6.0]}, "re": [0, 0], "im": [0, 0]}',
     "im_text.json": '{"grid": {"d": 1, "L": [6.0], "N": [2]}, "re": [0, 0], "im": "x"}',
     "no_l.csv": "# grid d=1 N=4\n-6,0,0\n",
+    "header_only.csv": "# grid d=1 L=6 N=4\n",
 }
 
 
@@ -254,11 +255,13 @@ def test_malformed_field_files_exit_two(tmp_path, capsys, name):
     else:
         with open(path, "w") as fh:
             fh.write(_NOT_FIELDS[name])
-    with pytest.raises(SystemExit) as exc:
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("always")
         cli.main(["norm", "luxemburg", "--input", path])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and f"{path} is not a saved field" in err
+    assert "Warning" not in err and not caught
 
 
 def test_young_inverse(capsys):
@@ -373,12 +376,34 @@ def test_random_specs_exit_cleanly(argv, tokens):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
-def test_numerical_failure_exits_one(capsys):
-    code, rep = run(capsys, ["psido", "calculi", "--symbol", "mix:5",
-                             "--input", "mix:9", "--A1", "0", "--A2", "0.5",
-                             "--N", "64", "--L", "8", "--tol", "1e-20"])
-    assert code == 1
-    assert not rep["results"][0]["pass"]
+def test_numerical_failure_exits_one(tmp_path, capsys):
+    """A row with a tolerance passes only when its value is within it: a
+    value above the tolerance fails, and so does a NaN value."""
+    nan_input = str(tmp_path / "nan.json")
+    g = o.make_grid(64, 8.0)
+    values = o.make_gaussian(g).values.copy()
+    values[0] = np.nan
+    o.save_json(o.Field(g, values), nan_input)
+    for argv, name in [
+        (["psido", "calculi", "--symbol", "mix:5", "--input", "mix:9", "--A1", "0",
+          "--A2", "0.5", "--N", "64", "--L", "8", "--tol", "1e-20"], "calculi_max_error"),
+        (["transform", "wigner", "--input", "noise:3", "--A", "0.3", "--N", "128"],
+         "l2_product_rel_error"),
+        (["transform", "stft", "--input", nan_input, "--N", "64", "--L", "8"],
+         "moyal_rel_error"),
+    ]:
+        code, rep = run(capsys, argv)
+        rows = {r["name"]: r for r in rep["results"]}
+        assert code == 1 and not rows[name]["pass"], argv
+
+
+@pytest.mark.parametrize("action", ["stft", "wigner"])
+def test_isometry_row_of_a_zero_signal(capsys, action):
+    """A gaussian centred far off the grid samples to zero, and for f = 0
+    the isometry |T f|_2 = |f|_2 |g|_2 holds exactly: the error row is 0."""
+    code, rep = run(capsys, ["transform", action, "--input", "gaussian:1:1e6",
+                             "--N", "64", "--L", "8"])
+    assert code == 0 and rep["results"][1]["value"] == 0.0
 
 
 def test_entropy_scan_csv(tmp_path, capsys):

@@ -134,6 +134,28 @@ def test_steering_verdicts():
     assert check_p_steered(YoungFunction.entropy(), 1.0)["steered"]
 
 
+def test_steering_of_a_function_vanishing_near_zero():
+    """cap(1) is 0 on [0, 1], so Phi(t)/t^2 stays bounded near 0 and the
+    second branch steers it: t -> Phi(t^(1/2)) is 0 there, hence convex."""
+    r = check_p_steered(YoungFunction.cap(1.0), 2.0)
+    assert r["steered"] and r["branch"] == "young_after_power"
+
+
+@pytest.mark.parametrize("knots, tail", [
+    ([(1, 0), (2, 1)], math.inf),
+    ([(0, 0), (2, 1), (1, 3)], math.inf),
+    ([(0, 0), (1, 2), (2, 3)], math.inf),
+    ([(0, 0), (1, 1)], 0.5),
+    ([(0, 0), (math.nan, 1), (2, 3)], math.inf),
+    ([(0, 0), (1, math.nan), (2, 3)], math.inf),
+    ([(0, 0), (1, 1), (2, 3)], math.nan),
+], ids=["no-origin", "decreasing-t", "concave", "tail-too-flat", "nan-t", "nan-value",
+        "nan-tail"])
+def test_table_rejects_bad_knots(knots, tail):
+    with pytest.raises(ValueError, match="table"):
+        YoungFunction.table(knots, tail_slope=tail)
+
+
 def test_landmark_points():
     cap = YoungFunction.cap(1.0)
     assert cap.zero_point() == 1.0
