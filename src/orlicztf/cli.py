@@ -11,7 +11,9 @@ field.
 
 Each subcommand handler returns (rows, data).  data is what --out saves:
 a field, the lambda table of `entropy scan`, or None, in which case --out
-takes the report in the --format given.  main writes it.
+takes the report in the --format given.  main writes it before it prints
+the report; a path it cannot open is a usage error.  --tol, 0 included,
+replaces every row's default tolerance.
 
 One pass rule covers every row with a tolerance: it passes only when its
 value is at most the tolerance, so a NaN value fails.  A row without a
@@ -190,8 +192,10 @@ def _row(name, value, tolerance=None, ok=True) -> dict:
     return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(ok)}
 
 
-def _check(name, value, tol) -> dict:
-    """A row with a tolerance: it passes only when value <= tol, so NaN fails."""
+def _check(name, value, args, default: float) -> dict:
+    """A row with a tolerance, --tol when given (0 included) else default:
+    it passes only when value <= tol, so NaN fails."""
+    tol = default if args.tol is None else args.tol
     return _row(name, value, tol, value <= tol)
 
 
@@ -212,36 +216,26 @@ def _jsonable(x):
     return x
 
 
-def _save(data, path: str) -> None:
-    """Write a handler's data: a field by the path's extension, or the rows
-    of the lambda-family table as CSV."""
-    if isinstance(data, Field) and path.endswith(".json"):
-        save_json(data, path)
-    elif isinstance(data, Field):
-        save_csv(data, path)
-    else:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "entropy", "M2_norm", "MPhi_norm"])
-            for row in data:
-                w.writerow([row["lam"], repr(row["entropy"]),
-                            repr(row["M2_norm"]), repr(row["MPhi_norm"])])
-
-
-def _emit(report: dict, fmt: str, out: str | None) -> None:
-    """Print the report; with out, also write it there by fmt."""
-    text = json.dumps(_jsonable(report), indent=2)
-    print(text)
-    if out and fmt == "csv":
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
+def _save(data, path: str, fmt: str) -> None:
+    """Write what --out takes: a field by the path's extension, the rows of
+    the lambda-family table as CSV, or the report (a dict) by fmt."""
+    if isinstance(data, Field):
+        (save_json if path.endswith(".json") else save_csv)(data, path)
+        return
+    with open(path, "w", newline="") as fh:
+        if isinstance(data, dict) and fmt == "json":
+            fh.write(json.dumps(_jsonable(data), indent=2) + "\n")
+            return
+        w = csv.writer(fh)
+        if isinstance(data, dict):
             w.writerow(["name", "value", "tolerance", "pass"])
-            for r in report["results"]:
-                w.writerow([r["name"], json.dumps(_jsonable(r["value"])),
-                            json.dumps(_jsonable(r["tolerance"])), r["pass"]])
-    elif out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+            w.writerows([r["name"], json.dumps(_jsonable(r["value"])),
+                         json.dumps(_jsonable(r["tolerance"])), r["pass"]]
+                        for r in data["results"])
+        else:
+            w.writerow(["lambda", "entropy", "M2_norm", "MPhi_norm"])
+            w.writerows([r["lam"], repr(r["entropy"]), repr(r["M2_norm"]),
+                         repr(r["MPhi_norm"])] for r in data)
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -279,7 +273,7 @@ def cmd_young(args) -> tuple:
             closed = (args.at + 0.5 - s) * math.exp(-(0.5 + s) / args.at)
         num = rows[0]["value"]
         err = 0.0 if num == closed else abs(num - closed) / (closed if closed > 0 else 1.0)
-        rows.append(_check("closed_form_rel_error", err, args.tol or 1e-6))
+        rows.append(_check("closed_form_rel_error", err, args, 1e-6))
     return rows, None
 
 
@@ -319,7 +313,7 @@ def cmd_transform(args) -> tuple:
         PP = stft_projection(P, phi)
         err = l2_norm(Field(P.grid, PP.values - P.values)) / max(l2_norm(F), 1e-300)
         return [_row("projection_l2_norm", l2_norm(P)),
-                _check("idempotence_rel_error", err, args.tol or 1e-8)], P
+                _check("idempotence_rel_error", err, args, 1e-8)], P
     # stft and wigner: |T(f1, f2)|_2 = |f1|_2 |f2|_2 (Moyal)
     f1 = make_signal(args.input, g, args.seed)
     if args.action == "stft":
@@ -333,7 +327,7 @@ def cmd_transform(args) -> tuple:
     product = l2_norm(f1) * l2_norm(f2)
     err = abs(l2_norm(T) - product) / max(product, 1e-300)
     return [_row(f"{args.action}_l2_norm", l2_norm(T)),
-            _check(name, err, args.tol or tol)], T
+            _check(name, err, args, tol)], T
 
 
 def cmd_psido(args) -> tuple:
@@ -359,7 +353,7 @@ def cmd_psido(args) -> tuple:
         h = psido.apply(a, args.A, f)
         return [_row("output_l2_norm", l2_norm(h))], h
     r = psido.calculi_consistency(a, args.A1, args.A2, f)
-    return [_check("calculi_max_error", r["max_error"], args.tol or 1e-6)], None
+    return [_check("calculi_max_error", r["max_error"], args, 1e-6)], None
 
 
 def cmd_entropy(args) -> tuple:
@@ -370,7 +364,7 @@ def cmd_entropy(args) -> tuple:
         rows = [_row(f"entropy_lambda_{r['lam']:g}", r["entropy"])
                 for r in scan["rows"]]
         rows.append(_row("constant_fit", scan["constant_fit"]))
-        rows.append(_check("constant_spread", scan["constant_spread"], args.tol or 1e-4))
+        rows.append(_check("constant_spread", scan["constant_spread"], args, 1e-4))
         # the table's M^Phi norms are the expensive part: only for --out
         return rows, lambda_family_table(lambdas) if args.out else None
     f = make_signal(args.input, g, args.seed)
@@ -405,7 +399,7 @@ _VERIFY = {
     "young-conv": lambda a: [verify.young_convolution_inequality(
         trials=a.trials, seed=a.seed)],
     "moyal": lambda a: [verify.moyal_isometry(
-        n=a.N, half_extent=a.L, trials=a.trials, seed=a.seed, tol=a.tol or 1e-8)],
+        n=a.N, half_extent=a.L, trials=a.trials, seed=a.seed, tol=1e-8 if a.tol is None else a.tol)],
     "reproducing": _criterion("twisted_reproducing"),
     "projection": _criterion("stft_inversion_projection"),
     "rank-one": _criterion("rank_one_duality"),
@@ -428,6 +422,13 @@ def _nonnegative(text: str) -> float:
     if x < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return x
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance argument: as _nonnegative, but nan is refused too."""
+    if math.isnan(float(text)):
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return _nonnegative(text)
 
 
 def _at_least_one(text: str) -> int:
@@ -454,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--d", type=int, default=1, help="dimension")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--trials", type=_at_least_one, default=100)
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", type=_tolerance, default=None,
                         help="override the default tolerance")
     common.add_argument("--out", type=str, default=None,
                         help="write the command's data or report here")
@@ -532,19 +533,19 @@ def main(argv=None) -> int:
         # numpy's floating-point warnings would only repeat it on stderr
         with np.errstate(all="ignore"):
             rows, data = args.handler(args)
-            if args.out and data is not None:
-                _save(data, args.out)
-    except (argparse.ArgumentTypeError, ValueError, FileNotFoundError) as exc:
+            report = {
+                "schema": 1,
+                "command": args.command + " " + getattr(args, "action", ""),
+                "config": {k: v for k, v in sorted(vars(args).items()) if not callable(v)},
+                "results": rows,
+                "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+            }
+            if args.out:
+                _save(report if data is None else data, args.out, args.format)
+    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
+        # an --out or input path that cannot be opened is a usage error too
         parser.error(str(exc))
-    config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
-    report = {
-        "schema": 1,
-        "command": args.command + " " + getattr(args, "action", ""),
-        "config": config,
-        "results": rows,
-        "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    _emit(report, args.format, args.out if data is None else None)
+    print(json.dumps(_jsonable(report), indent=2))
     return 0 if all(r["pass"] for r in rows) else 1
 
 

@@ -41,7 +41,7 @@ from .modspace import (
 )
 from .orlicz import verify_holder, verify_young_convolution
 from .tfa import quantization_change, stft, stft_adjoint, stft_projection, twisted_convolution, wigner
-from .young import YoungFunction
+from .young import YoungFunction, _legendre_argmax
 
 
 def _criterion(fn):
@@ -236,37 +236,39 @@ _BUILTINS = (
 )
 
 
+def _rel_gap(a, b) -> float:
+    """max |a - b| / max(a, b, 1e-300) where a and b are finite, or 1 when
+    one of them is inf where the other is not."""
+    if np.any(np.isinf(a) != np.isinf(b)):
+        return 1.0
+    finite = np.isfinite(a)
+    a, b = a[finite], b[finite]
+    return float(np.max(np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-300), initial=0.0))
+
+
 @_criterion
 def conjugate_closed_forms(tol: float = 1e-6):
-    """Numeric Legendre transform of the logarithmic example against its
-    closed form on [1e-3, 1e-1], and double conjugation on every built-in."""
-    conj = YoungFunction.log_example().conjugate()
+    """The numeric Legendre transform against two closed forms: the
+    logarithmic example's on [1e-3, 1e-1], and the generic path against the
+    Lambert-W form the library evaluates for the entropy conjugate, on
+    [1e-300, t2*) up to 1e-15 of the jump point t2*.  Then double
+    conjugation on every built-in."""
     ts = np.geomspace(1e-3, 1e-1, 40)
     root = np.sqrt(0.25 + ts)
-    formula = (ts + 0.5 - root) * np.exp(-(0.5 + root) / ts)
-    num = conj._eval_array(ts)
-    keep = (formula >= 1e-300) | (num >= 1e-300)
-    worst_formula = float(
-        (np.abs(num[keep] - formula[keep]) / formula[keep]).max()
-    )
-
-    per = {}
+    closed = {"log_example": _rel_gap(YoungFunction.log_example().conjugate()._eval_array(ts),
+                                      (ts + 0.5 - root) * np.exp(-(0.5 + root) / ts))}
+    ent = YoungFunction.entropy()
+    t2 = ent.sup_slope()
+    ts = np.append(np.geomspace(1e-300, t2, 60, endpoint=False),
+                   t2 * (1.0 - np.geomspace(1e-9, 1e-15, 7)))
+    s = _legendre_argmax(ent, ts)
+    closed["entropy"] = _rel_gap(np.maximum(s * ts - ent._eval_array(s), 0.0),
+                                 ent.conjugate()._eval_array(ts))
     ts = np.geomspace(1e-3, 10.0, 60)
-    for label, f in _BUILTINS:
-        bc = f.conjugate().conjugate()
-        a = f._eval_array(ts)
-        b = bc._eval_array(ts)
-        both_inf = np.isinf(a) & np.isinf(b)
-        inf_mismatch = np.isinf(a) != np.isinf(b)
-        zero = (a == 0.0) & (b == 0.0)
-        compare = ~(both_inf | zero | inf_mismatch)
-        w = 1.0 if inf_mismatch.any() else 0.0
-        if compare.any():
-            denom = np.maximum(np.maximum(a[compare], b[compare]), 1e-300)
-            w = max(w, float((np.abs(a[compare] - b[compare]) / denom).max()))
-        per[label] = w
-    worst = max(worst_formula, max(0.0, *per.values()))
-    return worst, tol, worst <= tol, dict(closed_form=worst_formula, biconjugation=per)
+    per = {label: _rel_gap(f._eval_array(ts), f.conjugate().conjugate()._eval_array(ts))
+           for label, f in _BUILTINS}
+    worst = max(*closed.values(), *per.values())
+    return worst, tol, worst <= tol, dict(closed_form=closed, biconjugation=per)
 
 
 # -- 7 ---------------------------------------------------------------------

@@ -29,6 +29,11 @@ continuation at the inflection point: the raw curve stops being convex at
 exp(-3/2), and conjugation/duality need convexity on the whole ray.  Only the
 region near the origin carries meaning for the embedding and growth results,
 and there the two definitions agree.
+
+A conjugate has one exact evaluator per base, used by norms, inverses and
+biconjugates alike: a t for cap(a), a Lambert-W closed form for entropy
+(e^{-3}/2 at its jump point 2 exp(-3/2), inf beyond), and else the generic
+Legendre transform, with the shared root finder on Phi' for the argmax.
 """
 
 from __future__ import annotations
@@ -43,9 +48,11 @@ ENTROPY_SLOPE = 2.0 * math.exp(-1.5)
 ENTROPY_INTERCEPT = 0.5 * math.exp(-3.0)
 
 
-def _as_array(t):
+def _vectorized(fn, t):
+    """fn on the float array of t, as a float when t is a scalar."""
     a = np.asarray(t, dtype=float)
-    return a, (a.ndim == 0)
+    out = fn(a)
+    return float(out) if a.ndim == 0 else out
 
 
 def _landmark():
@@ -64,7 +71,7 @@ class YoungFunction:
     _slope0: float = _landmark()
     _slope_end: float = _landmark()
     _intercept: float = _landmark()  # lim (slope_end s - Phi(s)); nan without a linear tail
-    _top: float = _landmark()  # sup Phi on [0, t2); None when only evaluation tells
+    _top: float = _landmark()  # sup Phi on [0, t2)
     _power_form: tuple = _landmark()  # (c, p) when Phi(t) = c t^p, else None
     _knots: tuple = _landmark()  # a table's knot t, knot values, and piece slopes, tail last
 
@@ -120,8 +127,12 @@ class YoungFunction:
                 raise ValueError("conjugate kind needs a base function")
             marks.update(_t1=base._slope0, _t2=base._slope_end, _slope0=base._t1,
                          _slope_end=base._t2)
+            # Phi* reaches t2* = Phi'(inf) with the intercept of Phi's linear
+            # tail, and its own tail has intercept sup Phi on [0, t2)
             if math.isfinite(base._slope_end):
-                marks["_top"] = None
+                marks["_top"] = base._intercept
+            if math.isfinite(base._t2):
+                marks["_intercept"] = base._top
             if base._power_form is not None and base._power_form[1] > 1.0:
                 c, p = base._power_form
                 pp = p / (p - 1.0)
@@ -179,10 +190,7 @@ class YoungFunction:
 
     def sup_value(self) -> float:
         """s0 = sup of Phi over [0, t2)."""
-        if self._top is not None:
-            return self._top
-        # a conjugate with a finite jump point: the limit from the left
-        return float(self.evaluate(np.nextafter(self._t2, 0.0)))
+        return self._top
 
     def inf_slope(self) -> float:
         """Right derivative at 0 (the zero point of the conjugate)."""
@@ -196,9 +204,7 @@ class YoungFunction:
 
     def evaluate(self, t):
         """Phi(t), vectorized; accepts scalars or arrays of nonnegative reals."""
-        a, scalar = _as_array(t)
-        out = self._eval_array(a)
-        return float(out) if scalar else out
+        return _vectorized(self._eval_array, t)
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         k = self.kind
@@ -241,9 +247,7 @@ class YoungFunction:
 
     def derivative(self, t):
         """Right derivative Phi'(t) on the finiteness interval, vectorized."""
-        a, scalar = _as_array(t)
-        out = self._deriv_array(a)
-        return float(out) if scalar else out
+        return _vectorized(self._deriv_array, t)
 
     def _deriv_array(self, t: np.ndarray) -> np.ndarray:
         k = self.kind
@@ -274,7 +278,7 @@ class YoungFunction:
             return steps[np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)]
         if k == "conjugate":
             # derivative of the Legendre transform is the argmax map
-            return _conjugate_argmax(self.params["base"], np.asarray(t, dtype=float))
+            return _conjugate_argmax(self.params["base"], t)
         raise AssertionError(k)
 
     # -- conjugation -------------------------------------------------------
@@ -302,9 +306,7 @@ class YoungFunction:
 
     def essential_inverse(self, s):
         """Phi^{-&}(s) = sup{t : Phi(t) <= s}, with the convention 0 at s = 0."""
-        a, scalar = _as_array(s)
-        out = self._inverse_array(a)
-        return float(out) if scalar else out
+        return _vectorized(self._inverse_array, s)
 
     def _inverse_array(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -320,8 +322,7 @@ class YoungFunction:
         solve = (s > 0) & (s < s0)
         if np.any(solve):
             sv = s[solve]
-            out[solve] = np.exp(_gauge_level(self, np.ones((sv.size, 1)), 1.0 / sv,
-                                             self._eval_array))
+            out[solve] = np.exp(_gauge_level(self, np.ones((sv.size, 1)), 1.0 / sv))
         return out
 
 
@@ -417,16 +418,15 @@ def _illinois(F, x0, x_min, x_max, slope, *data):
     raise RuntimeError(f"root finder did not converge in {_MAX_STEPS} steps")
 
 
-def _gauge_level(phi: YoungFunction, rows: np.ndarray, w, ev) -> np.ndarray:
+def _gauge_level(phi: YoungFunction, rows: np.ndarray, w) -> np.ndarray:
     """sup{u : w_i sum_k Phi(rows_ik e^u) <= 1} for each row i.
 
     Every row of the nonnegative matrix needs a positive entry; w is a
-    scalar or one weight per row, and ev evaluates Phi (or a stand-in for
-    it).  The log-gauge is solved in u = -log lambda: it rises at least as
-    fast as the quasi-Young order q, since Phi(t)/t^q is nondecreasing,
-    which bounds the first bracket; it is -inf while every entry sits in
-    the zero set [0, t1] and +inf once one passes t2, so u is confined to
-    [log(t1/max), log(t2/max)].
+    scalar or one weight per row.  The log-gauge is solved in
+    u = -log lambda: it rises at least as fast as the quasi-Young order q,
+    since Phi(t)/t^q is nondecreasing, which bounds the first bracket; it is
+    -inf while every entry sits in the zero set [0, t1] and +inf once one
+    passes t2, so u is confined to [log(t1/max), log(t2/max)].
     """
     m = rows.max(axis=1)
     w = np.broadcast_to(np.asarray(w, dtype=float), m.shape)
@@ -439,7 +439,7 @@ def _gauge_level(phi: YoungFunction, rows: np.ndarray, w, ev) -> np.ndarray:
         if math.isfinite(t2):
             # u <= u_cap, so only rounding can carry an entry past t2
             np.minimum(x, t2, out=x)
-        s = w * ev(x).sum(axis=1)
+        s = w * phi._eval_array(x).sum(axis=1)
         # Phi >= 0, so a NaN sum has a NaN term, which counts as +inf
         s[np.isnan(s)] = np.inf
         return np.log(s)
@@ -451,27 +451,45 @@ def _gauge_level(phi: YoungFunction, rows: np.ndarray, w, ev) -> np.ndarray:
 # -- conjugate evaluation ----------------------------------------------------
 
 
-def _conjugate_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
-    """argmax_s (s t - Phi(s)) = sup{s : Phi'(s) <= t}, over s from about
-    1e-321 up to the last point where Phi is finite (or the largest float).
+def _entropy_legendre(s: np.ndarray):
+    """(argmax, value) of sup_t (s t - Phi(t)) for the entropy kind, s in
+    [0, t2*) with t2* = Phi'(inf) = 2 exp(-3/2): s / v and
+    (s / v)^2 (v - 1) / 2 = e^{-(1+v)} (v - 1) / 2, where v = -(2 log t + 1)
+    at the argmax t, so that v / 2 = -W_{-1}(-s sqrt(e) / 2) (Corless,
+    Gonnet, Hare, Jeffrey and Knuth, "On the Lambert W function", Adv.
+    Comput. Math. 5, 1996).  In y = v / 2 - 1 that is log1p(y) - y = c with
+    c = log(s / t2*), free of the underflow of W's own equation at small s.
+    Two Halley steps solve it to a few ulps from the branch-point series
+    y = p + p^2/3 + p^3/36, p = sqrt(-2c), where c > -2, else from
+    1 + y = a + log a + log(a) / a with a = 1 - c.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.log(np.maximum(s, _TINY) / ENTROPY_SLOPE)
+        p = np.sqrt(-2.0 * c)
+        a = 1.0 - c
+        log_a = np.log(a)
+        y = np.where(c > -2.0, p * (1.0 + p * (1.0 / 3.0 + p / 36.0)),
+                     a + log_a + log_a / a - 1.0)
+        for _ in range(2):
+            g = np.log1p(y) - y - c
+            y = y + 2.0 * g * y * (1.0 + y) / (2.0 * y * y + g)
+    v = 2.0 + 2.0 * y
+    t = s / v
+    return t, t * (0.5 * (v - 1.0) * t)
+
+
+def _legendre_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
+    """argmax_s (s t - Phi(s)) = sup{s : Phi'(s) <= t} for any base, over s
+    from about 1e-321 up to the last point where Phi is finite.
 
     The shared root finder runs on log Phi'(e^v) - log t, nondecreasing in
     v = log s.  Phi' may be flat, jump or vanish (zero sets, conjugates of
     tables), so there is no slope bound; a zero of Phi' gives -inf and steps
-    by bisection.  For a table Phi' is a step function and the answer is
-    the knot that starts the first piece steeper than t.  That is read off
-    directly: on a step function each solve takes about 50 bisection steps,
-    and the battery's biconjugate of a table nests two of them (1.2 s of a
-    9 s battery on a 2-core x86-64 machine).
+    by bisection.
     """
     t = np.asarray(t, dtype=float)
     t2 = base.infinity_point()
     v_max = math.log(np.nextafter(t2, 0.0)) if math.isfinite(t2) else _LOG_LARGEST
-    if base.kind == "table":
-        ts, _, steps = base._knots
-        ends = np.append(ts, math.exp(v_max))
-        return np.maximum(ends[np.searchsorted(steps, t, side="right")],
-                          math.exp(_LOG_SMALLEST))
     ts = t.reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t = np.log(ts)
@@ -487,31 +505,42 @@ def _conjugate_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
     return np.exp(v).reshape(t.shape)
 
 
-def _conjugate_eval(base: YoungFunction, t: np.ndarray) -> np.ndarray:
+def _conjugate_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
+    """Phi*'(t) = argmax_s (s t - Phi(s)): the entropy closed form (every s
+    once t reaches Phi'(inf)); for a table, whose Phi' is a step function,
+    the knot that starts the first piece steeper than t, read off directly
+    (the generic solve takes about 50 bisection steps there, and the
+    battery's biconjugate of a table nests two: 1.2 s of a 9 s battery on a
+    2-core x86-64 machine); else `_legendre_argmax`."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape, dtype=float)
-    ss = base.sup_slope()
+    if base.kind == "entropy":
+        return np.where(t >= ENTROPY_SLOPE, math.exp(_LOG_LARGEST), _entropy_legendre(t)[0])
+    if base.kind == "table":
+        ts, _, steps = base._knots
+        ends = np.append(ts, min(base.infinity_point(), math.exp(_LOG_LARGEST)))
+        return np.maximum(ends[np.searchsorted(steps, t, side="right")],
+                          math.exp(_LOG_SMALLEST))
+    return _legendre_argmax(base, t)
 
+
+def _conjugate_eval(base: YoungFunction, t: np.ndarray) -> np.ndarray:
+    """Phi*(t) = sup_s (s t - Phi(s)): a t for cap(a); below Phi'(inf) the
+    entropy closed form, else max(s t - Phi(s), 0) at the argmax s; at
+    Phi'(inf) the intercept of Phi's linear tail, and inf past it."""
+    t = np.asarray(t, dtype=float)
     if base.kind == "cap":
-        # sup_s<=a (s t) = a t
-        a = base.params["a"]
-        return a * t
-
+        return base.params["a"] * t
+    ss = base.sup_slope()
+    out = np.where(np.isnan(t), np.nan, np.inf)
     finite = t < ss
-    if np.any(finite):
-        tf = t[finite]
+    tf = t[finite]
+    if base.kind == "entropy":
+        out[finite] = _entropy_legendre(tf)[1]
+    elif tf.size:
         sstar = _conjugate_argmax(base, tf)
-        vals = sstar * tf - base._eval_array(sstar)
-        out[finite] = np.maximum(vals, 0.0)
-    # Phi* is inf past Phi'(inf), and Phi*(inf) = inf in any case
-    out[t >= ss] = np.inf
-    out[np.isnan(t)] = np.nan
-    at_edge = t == ss
-    if math.isfinite(ss) and np.any(at_edge):
-        # Phi*(Phi'(inf)) is the intercept of Phi's linear tail; the tail of
-        # a conjugate Phi = Theta* has Theta's sup on [0, t2) there
-        c = base.params["base"].sup_value() if base.kind == "conjugate" else base._intercept
-        out[at_edge] = c if math.isfinite(c) else np.inf
+        out[finite] = np.maximum(sstar * tf - base._eval_array(sstar), 0.0)
+    if math.isfinite(ss):
+        out[t == ss] = base._intercept
     return out
 
 

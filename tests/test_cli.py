@@ -202,12 +202,20 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             (["young", "classify", "--kind", "entropy", "--radius", "nan"],
              "finite positive radius"),
             (["young", "classify", "--kind", "entropy", "--radius", "inf"],
-             "finite positive radius")):
+             "finite positive radius"),
+            (["verify", "moyal", "--tol", "-1"], "must be >= 0"),
+            (["verify", "moyal", "--tol", "nan"], "must be >= 0"),
+            (["verify", "moyal", "--tol=-inf"], "must be >= 0"),
+            # a report that cannot be written, as for a field
+            (["young", "evaluate", "--kind", "power:2", "--out",
+              str(tmp_path / "missing" / "report.json")], "No such file or directory"),
+            (["young", "evaluate", "--kind", "power:2", "--format", "csv", "--out",
+              str(tmp_path)], "Is a directory")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and message in err
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err and message in err
 
 
 def test_twisted_needs_second_input(tmp_path, capsys):
@@ -391,10 +399,15 @@ def test_numerical_failure_exits_one(tmp_path, capsys):
          "l2_product_rel_error"),
         (["transform", "stft", "--input", nan_input, "--N", "64", "--L", "8"],
          "moyal_rel_error"),
+        # --tol 0 is a tolerance of 0, not the row's default
+        (["young", "conjugate", "--kind", "log_example", "--at", "0.01", "--tol", "0"],
+         "closed_form_rel_error"),
     ]:
         code, rep = run(capsys, argv)
         rows = {r["name"]: r for r in rep["results"]}
         assert code == 1 and not rows[name]["pass"], argv
+        if "--tol" in argv:
+            assert rows[name]["tolerance"] == float(argv[argv.index("--tol") + 1])
 
 
 @pytest.mark.parametrize("action", ["stft", "wigner"])

@@ -106,7 +106,7 @@ def test_cap_norm_is_scaled_sup(grid64):
 
 def _luxemburg_by_bisection(a, w, phi):
     """Row-wise Luxemburg norms by bracket doubling and 80 bisection steps
-    on lambda, evaluating Phi the same way the norm code does."""
+    on lambda, evaluating Phi by its own evaluator."""
     a = np.asarray(a, dtype=float)
     out = np.zeros(a.shape[0])
     mx = a.max(axis=1)
@@ -117,12 +117,10 @@ def _luxemburg_by_bisection(a, w, phi):
     lo = np.maximum(mxl / t2, 1e-300) if np.isfinite(t2) \
         else np.full(mxl.shape, 1e-300)
     hi = w * rows.sum(axis=1) + mxl
-    table = orlicz._conjugate_table(phi)
-    ev = table if table is not None else phi._eval_array
 
     def gauge_le_one(lam):
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = ev(rows / lam[:, None])
+            vals = phi._eval_array(rows / lam[:, None])
         return w * np.sum(np.where(np.isnan(vals), np.inf, vals), axis=1) <= 1.0
 
     for _ in range(200):
@@ -177,6 +175,20 @@ def test_luxemburg_matches_bisection(name, scale):
     want = _luxemburg_by_bisection(rows, 0.4, phi)
     assert got[0] == want[0] == 0.0
     assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+@pytest.mark.parametrize("w", [1.0, 50.0])
+def test_entropy_conjugate_norm_off_its_jump_point(w):
+    """Rows of 256 whose norm sits above max|a| / t2*, the floor set by the
+    jump of Phi* at t2* = 2 exp(-3/2): the gauge reads Phi* inside (0, t2*),
+    and the norm must match the oracle there too.  Uniform entries have no
+    outlier to pin the norm at that floor."""
+    phi = YoungFunction.entropy().conjugate()
+    rows = np.random.default_rng(12).uniform(0.0, 1.0, (40, 256))
+    got = orlicz._luxemburg_batch(rows, w, phi)
+    want = _luxemburg_by_bisection(rows, w, phi)
+    assert np.all(got > 1.01 * rows.max(axis=1) / phi.infinity_point())
+    assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 def test_entropy_batch_gauge_evaluations(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlicztf import YoungFunction, check_delta2, check_p_steered, closed_power_form
-from orlicztf.young import _conjugate_argmax
+from orlicztf.young import _XTOL, _conjugate_argmax, _legendre_argmax
 
 BUILTINS = {
     "power2": YoungFunction.power(2),
@@ -236,8 +236,8 @@ def test_landmark_table(name):
     phi, want = LANDMARKS[name]
     got = _landmarks(phi)
     assert got[:4] == pytest.approx(want[:4], rel=1e-15)
-    # a conjugate's sup on [0, t2) is evaluated just left of t2
-    assert got[4] == pytest.approx(want[4], rel=1e-9)
+    # a conjugate's sup on [0, t2) is the intercept of its base's linear tail
+    assert got[4] == want[4]
     if phi.quasi_order == 1.0:
         t1, t2, s0, s_end, _ = got
         assert _landmarks(phi.conjugate())[:4] == (s0, s_end, t1, t2)
@@ -333,6 +333,27 @@ def test_essential_inverse_landmarks():
     assert list(cap.essential_inverse(s[:3])) == [0.0, 2.0, 2.0]
 
 
+def test_entropy_conjugate_closed_form_matches_the_generic_path():
+    """Where Phi* is a normal float, the Lambert-W closed form of the entropy
+    conjugate agrees with the generic Legendre transform to 1e-13, from
+    1e-300 up to 1e-15 below the jump point t2*, and so does its argmax."""
+    ent = YoungFunction.entropy()
+    t2 = ent.sup_slope()
+    t = np.append(np.geomspace(1e-300, t2, 2000, endpoint=False),
+                  t2 * (1.0 - np.geomspace(1e-9, 1e-15, 7)))
+    s = _legendre_argmax(ent, t)
+    generic = np.maximum(s * t - ent._eval_array(s), 0.0)
+    closed = ent.conjugate()._eval_array(t)
+    normal = closed >= np.finfo(float).tiny
+    assert normal.sum() > 1000
+    assert np.max(_rel(closed[normal], generic[normal])) <= 1e-13
+    # the argmax is ill-conditioned at t2*, where Phi'' vanishes; away from
+    # it the generic one is good to its bracket, _XTOL max(1, |log s|) in log s
+    away = t < 0.99 * t2
+    gap = _rel(_conjugate_argmax(ent, t[away]), s[away])
+    assert np.all(gap <= 2.0 * _XTOL * np.maximum(1.0, np.abs(np.log(s[away]))))
+
+
 def test_argmax_at_table_slopes_is_the_far_knot():
     """sup{s : Phi'(s) <= t} when t equals a slope of the table, or sits one
     ulp below the tail slope, where log Phi' - log t rounds to zero."""
@@ -363,10 +384,26 @@ def test_biconjugate_at_a_finite_jump_point():
     assert table.conjugate().conjugate().evaluate(3.0) == table.evaluate(3.0) == 5.0
 
 
+# Phi*(t2*) at a finite jump point t2* = Phi'(inf): the intercept of Phi's
+# linear tail, e^{-3}/2 for entropy, or Phi's sup on [0, t2) for a biconjugate
+JUMP_VALUES = {"entropy": 0.5 * math.exp(-3.0), "table_finite_tail": 7.0,
+               "conjugate:table_infinite_tail": 5.0, "conjugate:tan_example": math.inf,
+               "conjugate:log_example": math.inf}
+
+
 @pytest.mark.parametrize("name", sorted(
     k for k, phi in WITH_CONJUGATES.items()
     if phi.quasi_order == 1.0 and phi.conjugate().kind == "conjugate"))
 def test_conjugate_at_infinity_and_nan(name):
-    """The numeric Legendre transform is inf at inf and NaN at NaN."""
-    got = WITH_CONJUGATES[name].conjugate().evaluate(np.array([math.inf, math.nan]))
-    assert got[0] == math.inf and math.isnan(got[1])
+    """The Legendre transform is inf at inf, NaN at NaN and 0 at 0.  At a
+    finite jump point t2* it takes the value of JUMP_VALUES, the left limit
+    where that is finite, and inf beyond."""
+    conj = WITH_CONJUGATES[name].conjugate()
+    got = conj.evaluate(np.array([math.inf, math.nan, 0.0]))
+    assert got[0] == math.inf and math.isnan(got[1]) and got[2] == 0.0
+    t2 = conj.infinity_point()
+    assert math.isfinite(t2) == (name in JUMP_VALUES)
+    if math.isfinite(t2):
+        left, at, beyond = conj.evaluate(np.array([np.nextafter(t2, 0.0), t2, 2.0 * t2]))
+        assert at == JUMP_VALUES[name] and beyond == math.inf
+        assert left == pytest.approx(at, rel=1e-14) if math.isfinite(at) else left < at
