@@ -62,7 +62,7 @@ from .modspace import ModulationSpaceSpec, modulation_norm
 from .orlicz import MixedNormSpec, luxemburg_norm, mixed_norm
 from .tfa import stft, stft_projection, twisted_convolution, wigner
 from .weights import Weight
-from .young import YoungFunction, check_delta2, check_p_steered
+from .young import YoungFunction, check_delta2, check_p_steered, log_example_conjugate
 
 
 # -- spec grammar ----------------------------------------------------------------
@@ -265,12 +265,7 @@ def cmd_young(args) -> tuple:
         ], None
     rows = [_row("conjugate_value", phi.conjugate().evaluate(args.at))]
     if phi == YoungFunction.log_example() and not math.isnan(args.at):
-        # Phi*(t) = 0 for t <= 0, the t -> 0 limit of the closed form,
-        # and Phi*(inf) = inf, where the closed form reads inf - inf
-        closed = 0.0 if args.at <= 0 else math.inf
-        if 0 < args.at < math.inf:
-            s = math.sqrt(0.25 + args.at)
-            closed = (args.at + 0.5 - s) * math.exp(-(0.5 + s) / args.at)
+        closed = log_example_conjugate(args.at)
         num = rows[0]["value"]
         err = 0.0 if num == closed else abs(num - closed) / (closed if closed > 0 else 1.0)
         rows.append(_check("closed_form_rel_error", err, args, 1e-6))

@@ -246,10 +246,15 @@ class YoungFunction:
         raise AssertionError(k)
 
     def derivative(self, t):
-        """Right derivative Phi'(t) on the finiteness interval, vectorized."""
+        """Right derivative Phi'(t) on the finiteness interval, vectorized:
+        the landmark Phi'(0+) at 0 and NaN at NaN, for every kind."""
         return _vectorized(self._deriv_array, t)
 
     def _deriv_array(self, t: np.ndarray) -> np.ndarray:
+        slope = np.where(np.isnan(t), np.nan, self._slope_array(t))
+        return np.where(t == 0, self._slope0, slope)
+
+    def _slope_array(self, t: np.ndarray) -> np.ndarray:
         k = self.kind
         if k == "power":
             p = self.params["p"]
@@ -506,13 +511,16 @@ def _legendre_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
 
 
 def _conjugate_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
-    """Phi*'(t) = argmax_s (s t - Phi(s)): the entropy closed form (every s
-    once t reaches Phi'(inf)); for a table, whose Phi' is a step function,
-    the knot that starts the first piece steeper than t, read off directly
-    (the generic solve takes about 50 bisection steps there, and the
-    battery's biconjugate of a table nests two: 1.2 s of a 9 s battery on a
-    2-core x86-64 machine); else `_legendre_argmax`."""
+    """Phi*'(t) = argmax_s (s t - Phi(s)): a for cap(a), whose conjugate is
+    a t; the entropy closed form (every s once t reaches Phi'(inf)); for a
+    table, whose Phi' is a step function, the knot that starts the first
+    piece steeper than t, read off directly (the generic solve takes about
+    50 bisection steps there, and the battery's biconjugate of a table
+    nests two: 1.2 s of a 9 s battery on a 2-core x86-64 machine); else
+    `_legendre_argmax`."""
     t = np.asarray(t, dtype=float)
+    if base.kind == "cap":
+        return np.full(t.shape, base.params["a"])
     if base.kind == "entropy":
         return np.where(t >= ENTROPY_SLOPE, math.exp(_LOG_LARGEST), _entropy_legendre(t)[0])
     if base.kind == "table":
@@ -542,6 +550,21 @@ def _conjugate_eval(base: YoungFunction, t: np.ndarray) -> np.ndarray:
     if math.isfinite(ss):
         out[t == ss] = base._intercept
     return out
+
+
+def log_example_conjugate(t):
+    """The closed form of the log_example conjugate, an oracle for its
+    generic Legendre transform: (t + 1/2 - r) e^{-(1/2 + r)/t} with
+    r = sqrt(1/4 + t), vectorized.  It is 0 for t <= 0, the t -> 0 limit,
+    and inf at t = inf, where the formula reads inf - inf."""
+
+    def form(t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(0.25 + t)
+            out = (t + 0.5 - r) * np.exp(-(0.5 + r) / t)
+        return np.where(t <= 0, 0.0, np.where(t == np.inf, np.inf, out))
+
+    return _vectorized(form, t)
 
 
 def closed_power_form(phi: YoungFunction):

@@ -492,3 +492,47 @@ def test_report_csv_format(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["name", "value", "tolerance", "pass"]
     assert len(rows) > 3
+
+
+@pytest.fixture
+def phase_field_file(tmp_path, capsys):
+    """The STFT of mix:7 on the N=32, L=6 grid, saved by the CLI, and read back."""
+    path = str(tmp_path / "F.json")
+    run(capsys, ["transform", "stft", "--input", "mix:7", "--N", "32", "--L", "6",
+                 "--out", path])
+    return path, o.load_json(path)
+
+
+def test_norm_mixed_with_a_weight(capsys, phase_field_file):
+    """Power-2 stages with a weight: the weighted L2 norm of the phase field."""
+    path, F = phase_field_file
+    code, rep = run(capsys, ["norm", "mixed", "--input", path,
+                             "--weight", "polynomial:1"])
+    w = o.Weight.polynomial(1).evaluate(F.grid.points_stack())
+    want = np.sqrt(np.sum(np.abs(F.values * w) ** 2) * F.grid.weight)
+    assert code == 0
+    assert rep["results"][0]["value"] == pytest.approx(want, rel=1e-12)
+
+
+def test_norm_mixed_wiener_order(capsys, phase_field_file):
+    """--flavor W takes the xi stage first: the L1 norm in x of the L3 norms
+    in xi."""
+    path, F = phase_field_file
+    code, rep = run(capsys, ["norm", "mixed", "--input", path, "--flavor", "W",
+                             "--phi", "power:1", "--psi", "power:3"])
+    dx, dxi = (ax.spacing for ax in F.grid.axes)
+    inner = np.sum(np.abs(F.values) ** 3 * dxi, axis=1) ** (1.0 / 3.0)
+    want = np.sum(inner) * dx
+    assert code == 0
+    assert rep["results"][0]["value"] == pytest.approx(want, rel=1e-12)
+    # the other order gives another number
+    x_first = np.sum(np.sum(np.abs(F.values), axis=0) ** 3 * dx ** 3 * dxi) ** (1.0 / 3.0)
+    assert abs(x_first - want) > 1e-3 * want
+
+
+def test_verify_young_conv(capsys):
+    code, rep = run(capsys, ["verify", "young-conv", "--trials", "5", "--seed", "3"])
+    want = o.verify.young_convolution_inequality(trials=5, seed=3)
+    assert code == 0
+    assert rep["results"] == [{"name": want["name"], "value": want["value"],
+                               "tolerance": want["tolerance"], "pass": want["passed"]}]

@@ -243,6 +243,23 @@ def test_landmark_table(name):
         assert _landmarks(phi.conjugate())[:4] == (s0, s_end, t1, t2)
 
 
+@pytest.mark.parametrize("name", sorted(LANDMARKS))
+def test_derivative_at_zero_and_nan(name):
+    """Phi'(0) is the landmark Phi'(0+) and Phi'(NaN) is NaN, as scalars and
+    inside arrays, for every kind and every conjugate."""
+    phi, (_, _, s0, _, _) = LANDMARKS[name]
+    assert phi.derivative(0.0) == s0 and math.isnan(phi.derivative(math.nan))
+    got = phi.derivative(np.array([0.0, math.nan, 0.0]))
+    assert got[0] == got[2] == s0 and math.isnan(got[1])
+
+
+def test_cap_conjugate_derivative_is_its_slope():
+    conj = YoungFunction.cap(2.0).conjugate()
+    t = np.array([1e-300, 0.5, 1.0, 10.0, math.inf])
+    assert list(conj.derivative(t)) == [2.0] * len(t)
+    assert list(conj.evaluate(t)) == list(2.0 * t)
+
+
 # -- the root finder against the fixed-count bisections it replaced -----------
 
 def _argmax_by_bisection(base, t):
