@@ -63,8 +63,9 @@ def test_opnorm_ratio_stability_takes_no_symbol_norm(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     configs = {cfg["label"]: cfg for cfg in verify._opnorm_configs()}
-    changes = []
-    for row in record["details"]["rows"]:
+    rows = record["details"]["rows"]
+    assert len(rows) == 4
+    for row in rows:
         cfg = configs[row["config"]]
         lower = {}
         for n in (128, 256):
@@ -72,11 +73,9 @@ def test_opnorm_ratio_stability_takes_no_symbol_norm(monkeypatch):
             lower[n] = psido.estimate_operator_norm(
                 a, 0.0, cfg["domain"], cfg["codomain"], trials=4, seed=42)["lower_bound"]
             assert row[f"lower_{n}"] == pytest.approx(lower[n], rel=1e-12, abs=0)
-        changes.append(row["change"])
         assert row["change"] == max(row["lower_256"] / row["lower_128"],
                                     row["lower_128"] / row["lower_256"])
-    assert len(changes) == 4
-    assert record["value"] == max(changes)
+    assert record["value"] == max(row["change"] for row in rows)
 
 
 def _counted(monkeypatch, module, name, calls):
