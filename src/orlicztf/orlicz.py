@@ -28,8 +28,9 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     Illinois root finder on the log-gauge in log lambda, to a few ulps.
     The gauge always evaluates Phi through phi._eval_array, so a conjugate
     is exact too (the entropy conjugate in closed form).
-    A row with a NaN entry has norm NaN, else one with an inf entry inf."""
-    a = np.asarray(a, dtype=float)
+    A row with a NaN entry has norm NaN, else one with an inf entry inf.
+    Rows are summed C-ordered, whatever the layout of a."""
+    a = np.ascontiguousarray(a, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
         squeeze = True
@@ -44,7 +45,9 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     cp = closed_power_form(phi)
     if cp is not None:
         c, p = cp
-        out[live] = (c * w * np.sum(a[live] ** p, axis=1)) ** (1.0 / p)
+        # a[live] would copy a batch in which every row is live
+        rows = a if live.all() else a[live]
+        out[live] = (c * w * np.sum(rows ** p, axis=1)) ** (1.0 / p)
     elif np.any(live):
         out[live] = np.exp(-_gauge_level(phi, a[live], w))
     return out[0] if squeeze else out
@@ -78,21 +81,26 @@ class MixedNormSpec:
 
 
 def mixed_norm(f: Field, spec: MixedNormSpec) -> float:
-    """Iterated weighted norm over the given stage list."""
+    """Iterated weighted norm over the given stage list.
+
+    |f|, times the weight, is written straight into the first stage's rows:
+    one contiguous row per batch entry, its reduced axes last, as a
+    transposed copy would hold them, but with no copy."""
     nd = f.values.ndim
     if spec.axes_covered() != set(range(nd)):
         raise ValueError("stage axes must partition the field axes")
 
-    vals = np.abs(f.values)
-    if not spec.weight.is_constant_one:
-        vals = vals * spec.weight.evaluate(f.grid.points_stack())
-
+    vals = f.values
     remaining = list(range(nd))
-    for axes, phi in spec.stages:
+    for k, (axes, phi) in enumerate(spec.stages):
         pos = [remaining.index(a) for a in axes]
         keep = [i for i in range(vals.ndim) if i not in pos]
         perm = keep + pos
         moved = np.transpose(vals, perm)
+        if k == 0:
+            moved = np.abs(moved, out=np.empty(moved.shape))
+            if not spec.weight.is_constant_one:
+                moved *= np.transpose(spec.weight.evaluate(f.grid.points_stack()), perm)
         batch_shape = moved.shape[: len(keep)]
         red = int(np.prod(moved.shape[len(keep):], dtype=int)) if pos else 1
         mat = moved.reshape(-1, red)
@@ -163,6 +171,24 @@ def _ratio_report(phis, combine, r1, r2, w: float, precondition: str, pre_ok: bo
     }
 
 
+def _holder_reports(triples, trials: int, seed: int) -> list:
+    """verify_holder's report for each (phi0, phi1, phi2) in triples, all on
+    one draw of the rows."""
+    grid = make_grid()
+    r1, r2 = _random_pair(grid, trials, seed)
+    reports = []
+    for phi0, phi1, phi2 in triples:
+        if _inverse_product_ok(phi0._inverse_array, phi1, phi2):
+            pre = "inverse_product"
+        elif _young_sum_ok(phi0, phi1, phi2):
+            pre = "young_sum"
+        else:
+            pre = "none"
+        reports.append(_ratio_report((phi0, phi1, phi2), np.multiply, r1, r2, grid.weight,
+                                     pre, pre != "none", trials, seed))
+    return reports
+
+
 def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
                   trials: int = 1000, seed: int = 42) -> dict:
     """Empirical check of the product inequality
@@ -173,16 +199,26 @@ def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
     inverse-product comparison, or the pointwise two-variable sum bound
     (the latter is what conjugate pairs satisfy exactly).
     """
-    if _inverse_product_ok(phi0._inverse_array, phi1, phi2):
-        precondition = "inverse_product"
-    elif _young_sum_ok(phi0, phi1, phi2):
-        precondition = "young_sum"
-    else:
-        precondition = "none"
+    return _holder_reports([(phi0, phi1, phi2)], trials, seed)[0]
+
+
+def _young_convolution_reports(triples, trials: int, seed: int) -> list:
+    """verify_young_convolution's report for each (phi0, phi1, phi2) in
+    triples, all on one draw of the rows, masked in place."""
     grid = make_grid()
+    w = grid.weight
     r1, r2 = _random_pair(grid, trials, seed)
-    return _ratio_report((phi0, phi1, phi2), np.multiply, r1, r2, grid.weight,
-                         precondition, precondition != "none", trials, seed)
+    mask = np.abs(grid.axes[0].points) <= grid.axes[0].half_extent / 2.0
+    r1 *= mask
+    r2 *= mask
+
+    def convolve(a, b):
+        return np.fft.ifft(np.fft.fft(a, axis=1) * np.fft.fft(b, axis=1), axis=1) * w
+
+    return [_ratio_report((phi0, phi1, phi2), convolve, r1, r2, w, "inverse_product",
+                          _inverse_product_ok(lambda s: s * phi0._inverse_array(s), phi1, phi2),
+                          trials, seed)
+            for phi0, phi1, phi2 in triples]
 
 
 def verify_young_convolution(phi0: YoungFunction, phi1: YoungFunction,
@@ -191,12 +227,4 @@ def verify_young_convolution(phi0: YoungFunction, phi1: YoungFunction,
     """Empirical check of |f1 * f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2} for
     periodic Riemann-sum convolution, with supports confined to the middle
     half of the axis so the circular convolution agrees with the real one."""
-    pre_ok = _inverse_product_ok(lambda s: s * phi0._inverse_array(s), phi1, phi2)
-    grid = make_grid()
-    w = grid.weight
-    mask = np.abs(grid.axes[0].points) <= grid.axes[0].half_extent / 2.0
-    r1, r2 = (r * mask for r in _random_pair(grid, trials, seed))
-    return _ratio_report(
-        (phi0, phi1, phi2),
-        lambda a, b: np.fft.ifft(np.fft.fft(a, axis=1) * np.fft.fft(b, axis=1), axis=1) * w,
-        r1, r2, w, "inverse_product", pre_ok, trials, seed)
+    return _young_convolution_reports([(phi0, phi1, phi2)], trials, seed)[0]

@@ -4,8 +4,10 @@ convolution, parameterized Wigner distributions, quantization change.
 Conventions: V_phi f(x, xi) = (2pi)^(-d/2) integral f(y) conj(phi(y - x))
 exp(-i<y, xi>) dy, realized on the grid with periodic window translates.
 The translates are a zero-copy strided view (a circulant per axis), so the
-STFT and its adjoint form the N^(2d) product once; every centred FFT is
-centred by sign vectors, not rolls (field._centered_fft).
+STFT and its adjoint form the N^(2d) product once, and the STFT transforms
+and scales that product in place: it is the one N^(2d) array the STFT
+holds.  Every centred FFT is centred by sign vectors, not rolls
+(field._centered_fft).
 On a phase grid dx dxi = 2pi/N, so exp(-i y eta) is a power of
 w = exp(2pi i/N) and the twisted-convolution quadrature is exactly the
 convolution of the finite Heisenberg group over Z_N x Z_N.  The Schroedinger
@@ -73,12 +75,12 @@ def stft(f: Field, window: Field) -> Field:
     d = f.grid.dimension
     axes = tuple(range(d, 2 * d))
     s, c = _centering_signs((1,) * d + f.grid.shape, axes)
-    # the product is the only N^(2d) array formed before the FFT: the input
-    # centring signs ride on f and the output signs on the scale
+    # the product is the only N^(2d) array formed: the input centring signs
+    # ride on f, the output signs on the scale, and the FFT writes over it
     prod = (f.values * s) * _translates(np.conj(window.values))
-    vals = np.fft.fftn(prod, axes=axes)
-    vals *= s * (c * f.grid.weight / (2.0 * math.pi) ** (d / 2.0))
-    return Field(phase_grid(f.grid), vals)
+    np.fft.fftn(prod, axes=axes, out=prod)
+    prod *= s * (c * f.grid.weight / (2.0 * math.pi) ** (d / 2.0))
+    return Field(phase_grid(f.grid), prod)
 
 
 def _split_phase(F: Field):

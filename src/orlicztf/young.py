@@ -325,9 +325,8 @@ class YoungFunction:
         out = np.where(s >= s0, self.infinity_point(), np.nan)
         out[s == 0] = 0.0
         solve = (s > 0) & (s < s0)
-        if np.any(solve):
-            sv = s[solve]
-            out[solve] = np.exp(_gauge_level(self, np.ones((sv.size, 1)), 1.0 / sv))
+        sv = s[solve]
+        out[solve] = np.exp(_gauge_level(self, np.ones((sv.size, 1)), 1.0 / sv))
         return out
 
 
@@ -363,6 +362,8 @@ def _illinois(F, x0, x_min, x_max, slope, *data):
     """
     x = np.asarray(x0, dtype=float)
     n = x.shape[0]
+    if n == 0:
+        return np.empty(0)
     x_min = np.broadcast_to(np.asarray(x_min, dtype=float), (n,))
     x_max = np.broadcast_to(np.asarray(x_max, dtype=float), (n,))
     x = np.minimum(np.maximum(x, x_min), x_max)
@@ -544,7 +545,7 @@ def _conjugate_eval(base: YoungFunction, t: np.ndarray) -> np.ndarray:
     tf = t[finite]
     if base.kind == "entropy":
         out[finite] = _entropy_legendre(tf)[1]
-    elif tf.size:
+    else:
         sstar = _conjugate_argmax(base, tf)
         out[finite] = np.maximum(sstar * tf - base._eval_array(sstar), 0.0)
     if math.isfinite(ss):

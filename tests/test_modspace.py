@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,3 +281,63 @@ def test_near_zero_verdicts(check, args, want):
     """Verdicts of the four near-origin comparisons on functions with zero
     sets, jumps to inf and non-power growth."""
     assert check(*args) is want
+
+
+# one unit is one complex 24^4 array, the size of a d=2 STFT at N=24
+UNIT = 16 * 24 ** 4
+
+
+def _peak_units(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / UNIT
+    finally:
+        tracemalloc.stop()
+
+
+def _pair24(seed):
+    g = o.make_grid(24, 6.0)
+    return o.make_gaussian_mix(g, seed), o.make_gaussian_mix(g, seed + 1)
+
+
+def test_d2_modulation_norm_holds_one_stft_and_its_rows():
+    """The STFT (one unit), |V| in the first stage's rows and its powers
+    (half a unit each), and nothing else of that size."""
+    a, b = _pair24(1)
+    ab = o.Field(o.make_grid(24, 6.0, 2), np.multiply.outer(a.values, b.values))
+    m = ModulationSpaceSpec(YoungFunction.power(1.5), YoungFunction.power(3))
+    assert _peak_units(o.modulation_norm, ab, m) <= 2.05
+
+
+@pytest.mark.parametrize("p, bound", [(2, 0.05), (1, 2.05)])
+def test_factorization_check_peak_memory(p, bound):
+    a, b = _pair24(3)
+    phi = YoungFunction.power(p)
+    assert _peak_units(o.stft_norm_factorization_check, a, b, phi, phi) <= bound
+
+
+def _four_d_lhs(f1, f2, phi):
+    V12 = o.stft(f2, f1)
+    V4 = o.stft(V12, o.make_gaussian(V12.grid, 1.0))
+    return o.mixed_norm(V4, ModulationSpaceSpec(phi, phi).stages_for(2))
+
+
+@pytest.mark.parametrize("seed", [5, 7, 9])
+def test_factorization_lhs_is_the_modulation_norm(monkeypatch, seed):
+    """Power 2: Moyal's identity, one STFT, the 4-d value to 1e-12.
+    Power 1: the 4-d path itself, bit for bit."""
+    f1, f2 = _pair24(seed)
+    calls = []
+    stft = modspace.stft
+
+    def counted(f, window):
+        calls.append(f.grid.dimension)
+        return stft(f, window)
+
+    monkeypatch.setattr(modspace, "stft", counted)
+    got = o.stft_norm_factorization_check(f1, f2, P2, P2)["lhs"]
+    assert calls == [1]
+    assert abs(got - _four_d_lhs(f1, f2, P2)) <= 1e-12 * got
+    p1 = YoungFunction.power(1)
+    assert o.stft_norm_factorization_check(f1, f2, p1, p1)["lhs"] == _four_d_lhs(f1, f2, p1)

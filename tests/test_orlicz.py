@@ -229,3 +229,82 @@ def test_non_finite_rows(phi):
     assert got[3] == orlicz._luxemburg_batch(rows[3], 0.4, phi) > 0.0
     assert got[4] == 0.0
     assert np.isnan(orlicz._luxemburg_batch(rows[1], 0.4, phi))
+
+
+def _mixed_norm_by_copies(f, spec):
+    """mixed_norm written the long way: |f| times the weight, then per stage
+    a transposed copy of the values, reshaped to rows."""
+    vals = np.abs(f.values)
+    if not spec.weight.is_constant_one:
+        vals = vals * spec.weight.evaluate(f.grid.points_stack())
+    remaining = list(range(vals.ndim))
+    for axes, phi in spec.stages:
+        pos = [remaining.index(a) for a in axes]
+        keep = [i for i in range(vals.ndim) if i not in pos]
+        moved = np.transpose(vals, keep + pos)
+        batch_shape = moved.shape[: len(keep)]
+        # a C-ordered copy, even where the reshape alone would be a view
+        mat = moved.reshape(-1, int(np.prod(moved.shape[len(keep):], dtype=int))).copy()
+        w = 1.0
+        for a in axes:
+            w *= f.grid.axes[a].spacing
+        vals = orlicz._luxemburg_batch(mat, w, phi).reshape(batch_shape)
+        remaining = [remaining[i] for i in keep]
+    return float(vals.reshape(()))
+
+
+def _phase_fields():
+    one = noise_field(o.phase_grid(o.make_grid(16, 5.0)), 1)
+    two = noise_field(o.phase_grid(o.make_grid(8, 4.0, 2)), 2)
+    # dead rows take the power branch's a[live] path
+    half = one.values.copy()
+    half[:, :8] = 0.0
+    return {"d1": one, "d2": two, "d1_dead_rows": o.Field(one.grid, half)}
+
+
+@pytest.mark.parametrize("field", ["d1", "d2", "d1_dead_rows"])
+@pytest.mark.parametrize("pair", [
+    (YoungFunction.power(1.5), YoungFunction.power(3)),
+    (YoungFunction.power(2), YoungFunction.power(1)),
+    (YoungFunction.entropy(), YoungFunction.power(3)),
+], ids=["power1.5,3", "power2,1", "entropy,power3"])
+@pytest.mark.parametrize("flavor", ["M", "W"])
+@pytest.mark.parametrize("weight", [Weight.constant_one(), Weight.polynomial(1.0)],
+                         ids=["one", "polynomial1"])
+def test_mixed_norm_bit_identical_to_transposed_copies(field, pair, flavor, weight):
+    F = _phase_fields()[field]
+    stages = o.ModulationSpaceSpec(*pair, flavor=flavor).stages_for(F.grid.dimension // 2)
+    spec = MixedNormSpec(stages.stages, weight)
+    assert o.mixed_norm(F, spec) == _mixed_norm_by_copies(F, spec)
+
+
+def test_inequality_rows_drawn_once_per_family(monkeypatch):
+    """holder_young_inequalities draws its random rows once for the product
+    triples and once for the convolution triples, and each triple's ratio is
+    the one its own verifier reports."""
+    from orlicztf import verify
+
+    calls = []
+    draw = orlicz._random_pair
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(orlicz, "_random_pair", counted)
+    rec = verify.holder_young_inequalities(trials=40, seed=3)
+    assert len(calls) <= 2
+    for key, verifier, triples in (("holder", o.verify_holder, verify.HOLDER_TRIPLES),
+                                   ("young", o.verify_young_convolution,
+                                    verify.YOUNG_TRIPLES)):
+        for label, phis in triples:
+            alone = verifier(*phis, trials=40, seed=3)["max_ratio"]
+            assert repr(rec["details"][key][label]) == repr(alone)
+
+
+def test_mixed_norm_bit_identical_with_three_shuffled_stages():
+    """A middle stage whose rows are a transposed view, not a copy."""
+    F = _phase_fields()["d2"]
+    spec = MixedNormSpec((((2,), YoungFunction.power(1.5)), ((0,), YoungFunction.power(3)),
+                          ((3, 1), YoungFunction.entropy())))
+    assert o.mixed_norm(F, spec) == _mixed_norm_by_copies(F, spec)

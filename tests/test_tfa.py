@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,3 +284,18 @@ def test_stft_and_adjoint_match_gather_oracle(d, n):
     ref = gathered_stft_adjoint(F, window)
     got = o.stft_adjoint(F, window).values
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_d2_stft_holds_one_array_of_its_size():
+    """The product is transformed and scaled in place: a d=2 STFT at N=24
+    peaks at one complex 24^4 array, plus small change."""
+    g = o.make_grid(24, 6.0, 2)
+    f, window = noise_field(g, 3), gaussian_window(g)
+    tracemalloc.start()
+    try:
+        V = o.stft(f, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.values.nbytes == 16 * 24 ** 4
+    assert peak <= 1.1 * V.values.nbytes

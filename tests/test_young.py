@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicztf import YoungFunction, check_delta2, check_p_steered, closed_power_form
+from orlicztf import YoungFunction, check_delta2, check_p_steered, closed_power_form, verify
 from orlicztf.young import _XTOL, _conjugate_argmax, _legendre_argmax
 
 BUILTINS = {
@@ -424,3 +424,15 @@ def test_conjugate_at_infinity_and_nan(name):
         left, at, beyond = conj.evaluate(np.array([np.nextafter(t2, 0.0), t2, 2.0 * t2]))
         assert at == JUMP_VALUES[name] and beyond == math.inf
         assert left == pytest.approx(at, rel=1e-14) if math.isfinite(at) else left < at
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2], ids=["base", "conjugate", "biconjugate"])
+@pytest.mark.parametrize("label", [label for label, _ in verify._BUILTINS])
+def test_empty_batches_give_empty_arrays(label, depth):
+    """An empty batch never enters a root finder's loop: each evaluator
+    returns an empty array."""
+    phi = dict(verify._BUILTINS)[label]
+    for _ in range(depth):
+        phi = phi.conjugate()
+    for method in ("evaluate", "derivative", "essential_inverse"):
+        assert getattr(phi, method)(np.array([])).shape == (0,)
