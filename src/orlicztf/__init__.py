@@ -59,7 +59,6 @@ from .psido import (
     symbol_norm,
 )
 from .tfa import (
-    as_quantization,
     quantization_change,
     stft,
     stft_adjoint,
@@ -83,7 +82,6 @@ __all__ = [
     "Weight",
     "YoungFunction",
     "apply",
-    "as_quantization",
     "calculi_consistency",
     "check_delta2",
     "check_embedding",

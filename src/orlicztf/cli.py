@@ -20,7 +20,8 @@ value is at most the tolerance, so a NaN value fails.  A row without a
 tolerance passes.  Two kinds of row keep a pass of their own: the bound
 row of `entropy lieb` (the entropy is at least the bound) and the records
 of `verify`.
-Exit codes: 0 all rows passed, 1 a numerical check failed, 2 usage error.
+Exit codes: 0 all rows passed, 1 a numerical check failed, 2 usage error,
+which includes a request too large to allocate.
 """
 
 from __future__ import annotations
@@ -537,9 +538,11 @@ def main(argv=None) -> int:
             }
             if args.out:
                 _save(report if data is None else data, args.out, args.format)
-    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
-        # an --out or input path that cannot be opened is a usage error too
-        parser.error(str(exc))
+    except (argparse.ArgumentTypeError, ValueError, OSError, MemoryError) as exc:
+        # an --out or input path that cannot be opened is a usage error too,
+        # and so is a request too large to allocate (a bare MemoryError has
+        # no message)
+        parser.error(str(exc) or "not enough memory for this request")
     print(json.dumps(_jsonable(report), indent=2))
     return 0 if all(r["pass"] for r in rows) else 1
 

@@ -94,11 +94,6 @@ class Grid:
             out.append(ax.points.reshape(shape))
         return out
 
-    def points_stack(self) -> np.ndarray:
-        """All sample coordinates, shape grid.shape + (d,)."""
-        mesh = np.meshgrid(*[ax.points for ax in self.axes], indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     def matches(self, other: "Grid") -> bool:
         return self.dimension == other.dimension and all(
             a.close_to(b) for a, b in zip(self.axes, other.axes)

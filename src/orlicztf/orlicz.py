@@ -7,7 +7,9 @@ Young-function layer (young._illinois) solves log G = 0 in -log lambda, where
 G(lambda) is the non-increasing gauge, evaluated by the function's own
 evaluator: the entropy conjugate by its Lambert-W closed form, any other
 conjugate by its Legendre transform.  Mixed norms iterate stages of axis
-groups, innermost first, with the weight entering only at the innermost stage.
+groups, innermost first, with the weight entering only at the innermost stage,
+evaluated from the per-axis coordinates into one array of the field's shape.
+The Luxemburg norm of a field is the one-stage mixed norm over all its axes.
 """
 
 from __future__ import annotations
@@ -53,14 +55,6 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def luxemburg_norm(f: Field, phi: YoungFunction, omega: Weight | None = None) -> float:
-    """Weighted Luxemburg norm of a sampled field."""
-    vals = np.abs(f.values)
-    if omega is not None and not omega.is_constant_one:
-        vals = vals * omega.evaluate(f.grid.points_stack())
-    return float(_luxemburg_batch(vals.reshape(-1), f.grid.weight, phi))
-
-
 @dataclass(frozen=True)
 class MixedNormSpec:
     """Ordered stages (axis group, Young function), applied innermost first,
@@ -100,7 +94,7 @@ def mixed_norm(f: Field, spec: MixedNormSpec) -> float:
         if k == 0:
             moved = np.abs(moved, out=np.empty(moved.shape))
             if not spec.weight.is_constant_one:
-                moved *= np.transpose(spec.weight.evaluate(f.grid.points_stack()), perm)
+                moved *= np.transpose(spec.weight.evaluate(f.grid), perm)
         batch_shape = moved.shape[: len(keep)]
         red = int(np.prod(moved.shape[len(keep):], dtype=int)) if pos else 1
         mat = moved.reshape(-1, red)
@@ -111,6 +105,13 @@ def mixed_norm(f: Field, spec: MixedNormSpec) -> float:
         vals = normed.reshape(batch_shape)
         remaining = [remaining[i] for i in keep]
     return float(vals.reshape(()))
+
+
+def luxemburg_norm(f: Field, phi: YoungFunction, omega: Weight | None = None) -> float:
+    """Weighted Luxemburg norm of a sampled field: the one-stage mixed norm
+    over all of its axes."""
+    stages = ((tuple(range(f.values.ndim)), phi),)
+    return mixed_norm(f, MixedNormSpec(stages, Weight.constant_one() if omega is None else omega))
 
 
 # -- inequality verifiers -----------------------------------------------------
@@ -171,9 +172,17 @@ def _ratio_report(phis, combine, r1, r2, w: float, precondition: str, pre_ok: bo
     }
 
 
-def _holder_reports(triples, trials: int, seed: int) -> list:
-    """verify_holder's report for each (phi0, phi1, phi2) in triples, all on
-    one draw of the rows."""
+def verify_holder(triples, trials: int = 1000, seed: int = 42) -> list:
+    """Empirical check of the product inequality
+
+        |f1 f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2}
+
+    for each (phi0, phi1, phi2) in triples, all on one draw of the rows:
+    one report per triple, after verifying one of the inequality's two
+    sufficient premises on a log grid: the inverse-product comparison, or
+    the pointwise two-variable sum bound (the latter is what conjugate
+    pairs satisfy exactly).
+    """
     grid = make_grid()
     r1, r2 = _random_pair(grid, trials, seed)
     reports = []
@@ -189,22 +198,12 @@ def _holder_reports(triples, trials: int, seed: int) -> list:
     return reports
 
 
-def verify_holder(phi0: YoungFunction, phi1: YoungFunction, phi2: YoungFunction,
-                  trials: int = 1000, seed: int = 42) -> dict:
-    """Empirical check of the product inequality
-
-        |f1 f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2}
-
-    after verifying one of its two sufficient premises on a log grid: the
-    inverse-product comparison, or the pointwise two-variable sum bound
-    (the latter is what conjugate pairs satisfy exactly).
-    """
-    return _holder_reports([(phi0, phi1, phi2)], trials, seed)[0]
-
-
-def _young_convolution_reports(triples, trials: int, seed: int) -> list:
-    """verify_young_convolution's report for each (phi0, phi1, phi2) in
-    triples, all on one draw of the rows, masked in place."""
+def verify_young_convolution(triples, trials: int = 1000, seed: int = 42) -> list:
+    """Empirical check of |f1 * f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2} for
+    periodic Riemann-sum convolution, for each (phi0, phi1, phi2) in triples,
+    all on one draw of the rows: one report per triple.  The supports are
+    confined to the middle half of the axis (the rows are masked in place)
+    so the circular convolution agrees with the real one."""
     grid = make_grid()
     w = grid.weight
     r1, r2 = _random_pair(grid, trials, seed)
@@ -219,12 +218,3 @@ def _young_convolution_reports(triples, trials: int, seed: int) -> list:
                           _inverse_product_ok(lambda s: s * phi0._inverse_array(s), phi1, phi2),
                           trials, seed)
             for phi0, phi1, phi2 in triples]
-
-
-def verify_young_convolution(phi0: YoungFunction, phi1: YoungFunction,
-                             phi2: YoungFunction, trials: int = 1000,
-                             seed: int = 42) -> dict:
-    """Empirical check of |f1 * f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2} for
-    periodic Riemann-sum convolution, with supports confined to the middle
-    half of the axis so the circular convolution agrees with the real one."""
-    return _young_convolution_reports([(phi0, phi1, phi2)], trials, seed)[0]

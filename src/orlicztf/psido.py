@@ -33,7 +33,7 @@ from .field import (
     phase_grid,
 )
 from .modspace import ModulationSpaceSpec, modulation_norm
-from .tfa import _shifted, _split_phase, as_quantization, quantization_change
+from .tfa import _quantization, _shifted, _split_phase, quantization_change
 from .young import closed_power_form
 
 
@@ -52,14 +52,14 @@ class KernelMatrix:
 
 def kernel(a: Field, A) -> KernelMatrix:
     """Kernel of Op_A(a) for a symbol on the phase grid of a 1-d base grid."""
-    A = as_quantization(A)
+    t = _quantization(A)
     d, base = _split_phase(a)
     if d != 1:
         raise ValueError("kernels are implemented for a 1-d base grid")
     n = base.axes[0].n
     z = base.axes[0].points
     b = inverse_fourier_transform(a, axes=(1,)).values  # b[j, z-index]
-    S = _shifted(b, -A.t * z, base.axes[0].spacing)  # S[j, l] = b(x_j - t z_l, z_l)
+    S = _shifted(b, -t * z, base.axes[0].spacing)  # S[j, l] = b(x_j - t z_l, z_l)
     j = np.arange(n)[:, None]
     m = np.arange(n)[None, :]
     K = S[j, (j - m + n // 2) % n]
@@ -151,7 +151,6 @@ def estimate_operator_norm(a: Field, A, domain: ModulationSpaceSpec,
     When symbol_space is given, the report carries the ratio of the bound to
     the symbol's norm there.
     """
-    A = as_quantization(A)
     K = kernel(a, A)
     base = K.grid
 

@@ -26,7 +26,6 @@ wraparound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +40,13 @@ from .field import (
 )
 
 
-@dataclass(frozen=True)
-class QuantizationMatrix:
-    """Scalar multiple of the identity, A = t I with t in [0, 1]."""
-
-    t: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.t <= 1.0):
-            raise ValueError("quantization parameter must lie in [0, 1]")
-
-
-def as_quantization(a) -> QuantizationMatrix:
-    if isinstance(a, QuantizationMatrix):
-        return a
-    return QuantizationMatrix(float(a))
+def _quantization(A) -> float:
+    """The parameter t of the quantization matrix A = t I, checked to lie
+    in [0, 1] (NaN does not)."""
+    t = float(A)
+    if not (0.0 <= t <= 1.0):
+        raise ValueError("quantization parameter must lie in [0, 1]")
+    return t
 
 
 def _translates(window_values: np.ndarray) -> np.ndarray:
@@ -167,12 +158,11 @@ def _shifted(values: np.ndarray, shifts: np.ndarray, spacing: float) -> np.ndarr
 def wigner(f1: Field, f2: Field, A=0.5) -> Field:
     """W^A_{f1,f2}(x, xi) = F_y[ f1(x + t y) conj(f2(x + (t-1) y)) ](xi),
     A = t I."""
-    A = as_quantization(A)
+    t = _quantization(A)
     if not f1.grid.matches(f2.grid):
         raise ValueError("grid mismatch in wigner transform")
     if f1.grid.dimension != 1:
         raise ValueError("wigner transform is implemented for a 1-d base grid")
-    t = A.t
     dx = f1.grid.axes[0].spacing
     y = f1.grid.axes[0].points
     prod = _shifted(f1.values, t * y, dx)
@@ -184,14 +174,13 @@ def wigner(f1: Field, f2: Field, A=0.5) -> Field:
 def quantization_change(a: Field, A1, A2) -> Field:
     """Fourier multiplier carrying the symbol for parameter A1 to the symbol
     for A2 of the same operator: hat a picks up exp(i (t1 - t2) <u, v>)."""
-    A1 = as_quantization(A1)
-    A2 = as_quantization(A2)
+    t1, t2 = _quantization(A1), _quantization(A2)
     d, _ = _split_phase(a)
-    if A1.t == A2.t:
+    if t1 == t2:
         return Field(a.grid, a.values.copy())
     axes = tuple(range(2 * d))
     mesh = a.grid.with_dual_axes(axes).mesh()
-    mult = np.exp(1j * (A1.t - A2.t) * sum(mesh[i] * mesh[d + i] for i in range(d)))
+    mult = np.exp(1j * (t1 - t2) * sum(mesh[i] * mesh[d + i] for i in range(d)))
     # centred forward and inverse transforms, with the inner sign passes
     # dropped: they multiply to 1, as do the constants c and the spacing
     # scales of a unitary pair

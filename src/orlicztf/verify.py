@@ -39,7 +39,7 @@ from .modspace import (
     check_embedding,
     check_pseudo_hypotheses,
 )
-from .orlicz import _holder_reports, _young_convolution_reports
+from .orlicz import verify_holder, verify_young_convolution
 from .tfa import quantization_change, stft, stft_adjoint, stft_projection, twisted_convolution, wigner
 from .young import YoungFunction, _legendre_argmax, log_example_conjugate
 
@@ -181,14 +181,14 @@ YOUNG_TRIPLES = (
 )
 
 
-def _inequality(reports, triples, trials: int, seed: int):
+def _inequality(verifier, triples, trials: int, seed: int):
     """The worst max_ratio of one inequality over the triples (the
     inequalities' constant is 2), whether every triple's premise and bound
-    held, and the per-triple ratios; `reports` checks every triple on one
+    held, and the per-triple ratios; `verifier` checks every triple on one
     draw of the random rows."""
     per = {}
     ok = True
-    for (label, _), r in zip(triples, reports([phis for _, phis in triples], trials, seed)):
+    for (label, _), r in zip(triples, verifier([phis for _, phis in triples], trials, seed)):
         per[label] = r["max_ratio"]
         ok = ok and r["holds"] and r["precondition_ok"]
     return max(0.0, *per.values()), ok, per
@@ -197,22 +197,22 @@ def _inequality(reports, triples, trials: int, seed: int):
 @_criterion
 def holder_inequality(trials: int = 1000, seed: int = _SEED):
     """Product-norm inequality across the standard function triples."""
-    worst, ok, per = _inequality(_holder_reports, HOLDER_TRIPLES, trials, seed)
+    worst, ok, per = _inequality(verify_holder, HOLDER_TRIPLES, trials, seed)
     return worst, 2.0, ok, dict(per_triple=per, trials=trials, seed=seed)
 
 
 @_criterion
 def young_convolution_inequality(trials: int = 1000, seed: int = _SEED):
     """Convolution-norm inequality across the standard function triples."""
-    worst, ok, per = _inequality(_young_convolution_reports, YOUNG_TRIPLES, trials, seed)
+    worst, ok, per = _inequality(verify_young_convolution, YOUNG_TRIPLES, trials, seed)
     return worst, 2.0, ok, dict(per_triple=per, trials=trials, seed=seed)
 
 
 @_criterion
 def holder_young_inequalities(trials: int = 1000, seed: int = _SEED):
     """Both norm inequalities, reported as one criterion."""
-    h_worst, h_ok, holder = _inequality(_holder_reports, HOLDER_TRIPLES, trials, seed)
-    y_worst, y_ok, young = _inequality(_young_convolution_reports, YOUNG_TRIPLES,
+    h_worst, h_ok, holder = _inequality(verify_holder, HOLDER_TRIPLES, trials, seed)
+    y_worst, y_ok, young = _inequality(verify_young_convolution, YOUNG_TRIPLES,
                                        trials, seed)
     return max(h_worst, y_worst), 2.0, h_ok and y_ok, dict(
         holder=holder, young=young, trials=trials, seed=seed)

@@ -1,6 +1,6 @@
 """Weight functions on R^d.
 
-A weight is a positive function of the points of a grid:
+A weight is a positive function of |x|, evaluated on the samples of a grid:
 
     constant_one     1
     polynomial(s)    (1 + |x|^2)^(s/2)
@@ -45,15 +45,23 @@ class Weight:
             return self.params["s"] == 0.0
         return self.params["r"] == 0.0
 
-    def evaluate(self, pts):
-        """Weight values; pts has shape (..., d), the result has shape (...)."""
-        pts = np.asarray(pts, dtype=float)
+    def evaluate(self, grid) -> np.ndarray:
+        """Weight values at the samples of a grid, an array of its shape.
+
+        |x|^2 is summed from the per-axis coordinates of grid.mesh() in axis
+        order into one float array, which is then transformed in place."""
         if self.kind == "constant_one":
-            out = np.ones(pts.shape[:-1])
-        elif self.kind == "polynomial":
-            out = (1.0 + np.sum(pts * pts, axis=-1)) ** (self.params["s"] / 2.0)
+            return np.ones(grid.shape)
+        out = np.zeros(grid.shape)
+        for coords in grid.mesh():
+            out += coords * coords
+        if self.kind == "polynomial":
+            out += 1.0
+            out **= self.params["s"] / 2.0
         else:
+            np.sqrt(out, out=out)
+            out *= self.params["r"]
             # exp overflows to inf, the weight's value far out
             with np.errstate(over="ignore"):
-                out = np.exp(self.params["r"] * np.sqrt(np.sum(pts * pts, axis=-1)))
-        return float(out) if pts.ndim == 1 else out
+                np.exp(out, out=out)
+        return out

@@ -533,12 +533,11 @@ def _conjugate_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
 
 
 def _conjugate_eval(base: YoungFunction, t: np.ndarray) -> np.ndarray:
-    """Phi*(t) = sup_s (s t - Phi(s)): a t for cap(a); below Phi'(inf) the
-    entropy closed form, else max(s t - Phi(s), 0) at the argmax s; at
-    Phi'(inf) the intercept of Phi's linear tail, and inf past it."""
+    """Phi*(t) = sup_s (s t - Phi(s)): below Phi'(inf) the entropy closed
+    form, else max(s t - Phi(s), 0) at the argmax s (for cap(a) the argmax
+    is a, which gives a t); at Phi'(inf) the intercept of Phi's linear tail,
+    and inf past it."""
     t = np.asarray(t, dtype=float)
-    if base.kind == "cap":
-        return base.params["a"] * t
     ss = base.sup_slope()
     out = np.where(np.isnan(t), np.nan, np.inf)
     finite = t < ss
@@ -661,28 +660,18 @@ def check_p_steered(phi: YoungFunction, p: float, radius: float = 0.5) -> dict:
     """Steering test: either Phi(t)/t^p blows up along t -> 0, or
     t -> Phi(t^{1/p}) is midpoint-convex near the origin.
 
-    Returns which branch fired; both failing means not steered.
+    The first branch is `_compare_near_zero` of Phi against t^p, which
+    answers a power c t^e by its exponent.  Returns which branch fired;
+    both failing means not steered.
     """
     if p <= 0 or not math.isfinite(p):
         raise ValueError("steering exponent must be finite and positive")
     if not (0 < radius < math.inf):
         raise ValueError("steering radius must be finite and positive")
-    cp = closed_power_form(phi)
-    if cp is not None:
-        # c t^pe: the ratio to t^p diverges iff pe < p, and t^(pe/p) is
-        # convex iff pe >= p, so one branch always fires
-        pe = cp[1]
-        branch = "limsup_infinite" if pe < p else "young_after_power"
-        return {
-            "steered": True,
-            "branch": branch,
-            "p": p,
-            "radius": radius,
-            "method": "analytic",
-        }
     t2 = phi.infinity_point()
     top = min(radius, t2 * 0.99) if math.isfinite(t2) else radius
-    ratio = _compare_near_zero(phi._eval_array, lambda t: t ** p, top, (None, (1.0, p)))
+    ratio = _compare_near_zero(phi._eval_array, lambda t: t ** p, top,
+                               (closed_power_form(phi), (1.0, p)))
     if not ratio["bounded"]:
         return {"steered": True, "branch": "limsup_infinite", "p": p, "radius": radius}
 

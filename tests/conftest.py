@@ -29,6 +29,26 @@ def noise_field(grid, seed):
                    + 1j * rng.standard_normal(grid.shape))
 
 
+def coordinate_stack(grid):
+    """Test oracle: the coordinates of every sample, shape grid.shape + (d,),
+    built by np.meshgrid."""
+    mesh = np.meshgrid(*[ax.points for ax in grid.axes], indexing="ij")
+    return np.stack(mesh, axis=-1)
+
+
+def weight_oracle(w, grid):
+    """Test oracle: the weight's formula on the coordinate stack, with |x|^2
+    summed over its last axis."""
+    pts = coordinate_stack(grid)
+    r2 = np.sum(pts * pts, axis=-1)
+    if w.kind == "constant_one":
+        return np.ones(grid.shape)
+    if w.kind == "polynomial":
+        return (1.0 + r2) ** (w.params["s"] / 2.0)
+    with np.errstate(over="ignore"):
+        return np.exp(w.params["r"] * np.sqrt(r2))
+
+
 def unit(f):
     return o.Field(f.grid, f.values / o.l2_norm(f))
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import orlicztf as o
 from orlicztf import cli
 from orlicztf.modspace import ModulationSpaceSpec
-from conftest import noise_field
+from conftest import noise_field, weight_oracle
 
 
 def run(capsys, argv):
@@ -216,6 +216,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "usage:" in err and message in err
+
+
+@pytest.mark.parametrize("owner, name, argv", [
+    (cli, "modulation_norm", ["norm", "modulation", "--input", "gaussian:1", "--d", "2"]),
+    (o.verify, "verify_holder", ["verify", "holder", "--trials", "10000000"]),
+], ids=["modulation-d2", "holder"])
+@pytest.mark.parametrize("message", ["Unable to allocate 64.0 GiB for an array", ""],
+                         ids=["numpy", "bare"])
+def test_a_request_too_large_to_allocate_exits_two(monkeypatch, capsys, owner, name, argv,
+                                                   message):
+    """The layer raises MemoryError in place of allocating: the real requests
+    ask for tens of GiB (the d=2 STFT at the default N=256 alone is 64 GiB)."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, name, no_memory)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err and (message or "not enough memory") in err
 
 
 def test_twisted_needs_second_input(tmp_path, capsys):
@@ -508,7 +529,7 @@ def test_norm_mixed_with_a_weight(capsys, phase_field_file):
     path, F = phase_field_file
     code, rep = run(capsys, ["norm", "mixed", "--input", path,
                              "--weight", "polynomial:1"])
-    w = o.Weight.polynomial(1).evaluate(F.grid.points_stack())
+    w = weight_oracle(o.Weight.polynomial(1), F.grid)
     want = np.sqrt(np.sum(np.abs(F.values * w) ** 2) * F.grid.weight)
     assert code == 0
     assert rep["results"][0]["value"] == pytest.approx(want, rel=1e-12)

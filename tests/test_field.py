@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import orlicztf as o
-from conftest import gaussian_window, noise_field
+from conftest import coordinate_stack, gaussian_window, noise_field
 
 
 def test_axis_lattice_contract():
@@ -220,7 +220,7 @@ def test_grid_mismatch_raises(grid64, grid128):
 def _save_csv_oracle(f, path):
     """Test oracle: the per-sample CSV writer, four format calls per row."""
     from orlicztf.field import _grid_header
-    coords = f.grid.points_stack().reshape(-1, f.grid.dimension)
+    coords = coordinate_stack(f.grid).reshape(-1, f.grid.dimension)
     flat = f.values.reshape(-1)
     with open(path, "w") as fh:
         fh.write(_grid_header(f.grid) + "\n")

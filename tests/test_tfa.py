@@ -7,7 +7,7 @@ import pytest
 import orlicztf as o
 from conftest import gaussian_window, noise_field, upsample2
 from orlicztf.field import Axis
-from orlicztf.tfa import _shifted
+from orlicztf.tfa import _quantization, _shifted
 
 
 def test_moyal_isometry(grid64):
@@ -149,10 +149,10 @@ def test_quantization_change_identity(grid128):
 
 def test_quantization_parameter_range():
     for t in (0.0, 0.3, 1.0):
-        assert o.as_quantization(t).t == t
-    for t in (-0.1, 1.5):
+        assert _quantization(t) == t
+    for t in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
-            o.as_quantization(t)
+            _quantization(t)
 
 
 def test_shifted_lattice_shifts_are_rolls(grid64):
