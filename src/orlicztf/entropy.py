@@ -40,10 +40,10 @@ class EntropyResult:
 def _integral_term(S: np.ndarray, weight: float) -> np.ndarray:
     """Pointwise contributions -S log S, with values below the floor
     contributing exactly zero; a NaN value contributes NaN."""
-    out = np.zeros_like(S)
-    mask = ~(S <= _FLOOR)
-    out[mask] = -S[mask] * np.log(S[mask])
-    return out * weight
+    out = np.log(S, out=np.zeros_like(S), where=~(S <= _FLOOR))
+    out *= S
+    out *= -weight
+    return out
 
 
 def entropy(f: Field, window: Field | None = None) -> EntropyResult:
@@ -54,7 +54,8 @@ def entropy(f: Field, window: Field | None = None) -> EntropyResult:
         raise ValueError("window must be nonzero")
     nf = l2_norm(f)
     V = stft(f, phi)
-    S = np.abs(V.values) ** 2
+    S = np.abs(V.values)
+    S *= S
     total = float(_integral_term(S, V.grid.weight).sum())
     c = nphi**2 * nf**2
     if c > 0.0:

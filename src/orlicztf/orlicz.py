@@ -2,13 +2,17 @@
 
 The Luxemburg norm is inf{lambda > 0 : sum_k w_k Phi(|f_k omega_k| / lambda) <= 1}
 with w_k the quadrature weight.  Power-family functions are answered in
-closed form.  For everything else the Illinois root finder shared with the
+closed form, taken over the row max where the sum leaves the floating-point
+range.  For everything else the Illinois root finder shared with the
 Young-function layer (young._illinois) solves log G = 0 in -log lambda, where
-G(lambda) is the non-increasing gauge, evaluated by the function's own
-evaluator: the entropy conjugate by its Lambert-W closed form, any other
-conjugate by its Legendre transform.  Mixed norms iterate stages of axis
-groups, innermost first, with the weight entering only at the innermost stage,
-evaluated from the per-axis coordinates into one array of the field's shape.
+G(lambda) is the non-increasing gauge.  The entropy gauge is read from sorted
+prefix sums of each row, solved in v = log(max / lambda), so the tolerance is
+relative to the norm at every scale; every other gauge is evaluated by the
+function's own evaluator: the entropy conjugate by its Lambert-W closed form,
+any other conjugate by its Legendre transform.  Mixed norms iterate stages of
+axis groups, innermost first, with the weight entering only at the innermost
+stage, evaluated from the per-axis coordinates into one array of the field's
+shape.
 The Luxemburg norm of a field is the one-stage mixed norm over all its axes.
 """
 
@@ -21,14 +25,15 @@ import numpy as np
 
 from .field import Field, make_grid
 from .weights import Weight
-from .young import YoungFunction, _gauge_level, closed_power_form
+from .young import _TINY, YoungFunction, _gauge_level, closed_power_form
 
 
 def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     """Row-wise Luxemburg norms of the nonnegative matrix a with scalar
     quadrature weight w: closed form for the power family, else the
     Illinois root finder on the log-gauge in log lambda, to a few ulps.
-    The gauge always evaluates Phi through phi._eval_array, so a conjugate
+    The entropy gauge comes from sorted prefix sums (young._entropy_level);
+    every other one evaluates Phi through phi._eval_array, so a conjugate
     is exact too (the entropy conjugate in closed form).
     A row with a NaN entry has norm NaN, else one with an inf entry inf.
     Rows are summed C-ordered, whatever the layout of a."""
@@ -49,9 +54,18 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
         c, p = cp
         # a[live] would copy a batch in which every row is live
         rows = a if live.all() else a[live]
-        out[live] = (c * w * np.sum(rows ** p, axis=1)) ** (1.0 / p)
+        with np.errstate(over="ignore", under="ignore"):
+            total = c * w * np.sum(rows ** p, axis=1)
+            out[live] = total ** (1.0 / p)
+            # a sum out of the normal range is taken again over the row
+            # max, which keeps the power of every entry at most 1
+            if total.size and not _TINY <= total.min() <= total.max() < np.inf:
+                lost = np.flatnonzero(live)[~((total >= _TINY) & (total < np.inf))]
+                m = mx[lost]
+                out[lost] = m * (c * w * np.sum((a[lost] / m[:, None]) ** p, axis=1)) ** (1.0 / p)
     elif np.any(live):
-        out[live] = np.exp(-_gauge_level(phi, a[live], w))
+        scale, level = _gauge_level(phi, a[live], w)
+        out[live] = scale * np.exp(-level)
     return out[0] if squeeze else out
 
 

@@ -326,7 +326,8 @@ class YoungFunction:
         out[s == 0] = 0.0
         solve = (s > 0) & (s < s0)
         sv = s[solve]
-        out[solve] = np.exp(_gauge_level(self, np.ones((sv.size, 1)), 1.0 / sv))
+        scale, level = _gauge_level(self, np.ones((sv.size, 1)), 1.0 / sv)
+        out[solve] = np.exp(level) / scale
         return out
 
 
@@ -424,18 +425,25 @@ def _illinois(F, x0, x_min, x_max, slope, *data):
     raise RuntimeError(f"root finder did not converge in {_MAX_STEPS} steps")
 
 
-def _gauge_level(phi: YoungFunction, rows: np.ndarray, w) -> np.ndarray:
-    """sup{u : w_i sum_k Phi(rows_ik e^u) <= 1} for each row i.
+def _gauge_level(phi: YoungFunction, rows: np.ndarray, w):
+    """sup{u : w_i sum_k Phi(rows_ik e^u) <= 1} for each row i, as
+    (scale, level) with u = level - log(scale): the Luxemburg norm of row i
+    is scale_i e^{-level_i}.
 
     Every row of the nonnegative matrix needs a positive entry; w is a
     scalar or one weight per row.  The log-gauge is solved in
     u = -log lambda: it rises at least as fast as the quasi-Young order q,
     since Phi(t)/t^q is nondecreasing, which bounds the first bracket; it is
     -inf while every entry sits in the zero set [0, t1] and +inf once one
-    passes t2, so u is confined to [log(t1/max), log(t2/max)].
+    passes t2, so u is confined to [log(t1/max), log(t2/max)].  Each step
+    evaluates Phi over the rows, and the scale is 1.  The entropy kind
+    instead reads sorted prefix sums and is solved in v = u + log m, m the
+    row max, with scale m (_entropy_level, which overwrites the rows).
     """
     m = rows.max(axis=1)
     w = np.broadcast_to(np.asarray(w, dtype=float), m.shape)
+    if phi.kind == "entropy":
+        return m, _entropy_level(rows, m, w)
     t1, t2 = phi.zero_point(), phi.infinity_point()
     with np.errstate(divide="ignore"):
         u_zero, u_cap = np.log(t1 / m), np.log(t2 / m)
@@ -451,7 +459,46 @@ def _gauge_level(phi: YoungFunction, rows: np.ndarray, w) -> np.ndarray:
         return np.log(s)
 
     u0 = -np.log(w * rows.sum(axis=1) + m)
-    return _illinois(log_gauge, u0, u_zero, u_cap, phi.quasi_order, rows, w)
+    return 1.0, _illinois(log_gauge, u0, u_zero, u_cap, phi.quasi_order, rows, w)
+
+
+def _entropy_level(rows: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sup{v : w_i sum_k Phi(b_ik e^v) <= 1} for the entropy Phi, with
+    b = rows / m written over the rows and sorted ascending in each row.
+
+    With j = #{b_k <= e^{-3/2} e^{-v}} the entries below the splice, the
+    sum is e^{2v} (P_j - v Q_j) + 2 e^{-3/2} e^v S_j - e^{-3} (n - j) / 2,
+    from the prefix sums Q_j of b^2 and P_j of -b^2 log b and the suffix
+    sums S_j of b, each a sum of nonnegative terms.  A small entry has
+    -log b - v >= 3/2, so P_j - v Q_j >= 3/2 Q_j and nothing cancels.
+    The row max is 1, so the root finder's tolerance is relative to the
+    norm at every scale.
+    """
+    b = rows
+    b /= m[:, None]
+    b.sort(axis=1)
+    r, n = b.shape
+    sq, ent, top = np.zeros((3, r, n + 1))
+    np.multiply(b, b, out=sq[:, 1:])
+    np.log(b, out=ent[:, 1:], where=b > 0)
+    ent *= sq
+    np.negative(ent, out=ent)
+    np.cumsum(sq[:, 1:], axis=1, out=sq[:, 1:])
+    np.cumsum(ent[:, 1:], axis=1, out=ent[:, 1:])
+    np.cumsum(b[:, ::-1], axis=1, out=top[:, -2::-1])
+
+    def log_gauge(v, live, w):
+        # the live rows, read in place while no row has left the loop
+        sub = b if live.size == r else b[live]
+        j = np.count_nonzero(sub <= (ENTROPY_SPLICE * np.exp(-v))[:, None], axis=1)
+        ev = np.exp(v)
+        # fmax turns inf * 0, where the small set holds only zeros, into 0
+        small = np.fmax(ev * ev * (ent[live, j] - v * sq[live, j]), 0.0)
+        return np.log(w * (small + ENTROPY_SLOPE * ev * top[live, j]
+                           - ENTROPY_INTERCEPT * (n - j)))
+
+    v0 = -np.log(w * top[:, 0] + 1.0)
+    return _illinois(log_gauge, v0, -np.inf, np.inf, 1.0, np.arange(r), w)
 
 
 # -- conjugate evaluation ----------------------------------------------------

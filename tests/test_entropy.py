@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -121,3 +122,20 @@ def test_nan_sample_gives_nan_entropy(grid64):
     values = gaussian_window(grid64).values.copy()
     values[5] = np.nan
     assert math.isnan(entropy_of(o.Field(grid64, values)).value)
+
+
+def test_integral_term_equals_the_masked_gather():
+    """-S log S times the weight, with the floor set and S = 1 at zero and
+    NaN kept, equals the gather-and-scatter form bit for bit."""
+    module = importlib.import_module("orlicztf.entropy")
+    rng = np.random.default_rng(8)
+    S = np.abs(rng.standard_normal((64, 64)) * np.exp(rng.uniform(-700.0, 5.0, (64, 64))))
+    S[0, :6] = [0.0, module._FLOOR, 1e-301, 1.0, np.nan, np.inf]
+    want = np.zeros_like(S)
+    mask = ~(S <= module._FLOOR)
+    with np.errstate(invalid="ignore"):
+        want[mask] = -S[mask] * np.log(S[mask])
+        want *= 0.037
+        got = module._integral_term(S, 0.037)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.sum(got[1:]) == np.sum(want[1:])

@@ -192,21 +192,176 @@ def test_entropy_conjugate_norm_off_its_jump_point(w):
     assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
+def _noise_rows(shape, seed):
+    rng = np.random.default_rng(seed)
+    return np.abs(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def test_entropy_batch_gauge_evaluations(monkeypatch):
-    calls = []
-    original = YoungFunction._eval_array
+    """The entropy gauge reads its sorted prefix sums: a 400 x 256 batch
+    takes at most 30 root-finder steps at every scale and evaluates Phi
+    over no row."""
+    steps, evals = [], []
+    solve, evaluate = young._illinois, YoungFunction._eval_array
 
-    def counted(self, t):
-        calls.append(t.shape)
-        return original(self, t)
+    def counted_solve(F, *args):
+        def counted_F(x, *data):
+            steps.append(x.size)
+            return F(x, *data)
+        return solve(counted_F, *args)
 
-    monkeypatch.setattr(YoungFunction, "_eval_array", counted)
-    rng = np.random.default_rng(5)
-    rows = np.abs(rng.standard_normal((400, 256)) + 1j * rng.standard_normal((400, 256)))
+    def counted_eval(self, t):
+        evals.append(t.shape)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(young, "_illinois", counted_solve)
+    monkeypatch.setattr(YoungFunction, "_eval_array", counted_eval)
+    rows = _noise_rows((400, 256), 5)
     for scale in (1e-3, 1.0, 1e3):
-        calls.clear()
+        steps.clear()
+        evals.clear()
         orlicz._luxemburg_batch(scale * rows, 12.0 / 128, YoungFunction.entropy())
-        assert 0 < len(calls) <= 30
+        assert 0 < len(steps) <= 30
+        assert not [shape for shape in evals if np.prod(shape) >= 256]
+
+
+_SPLICE = np.exp(-1.5)
+
+
+def _entropy_phi(t):
+    """The entropy Young function written out: -t^2 log t up to e^{-3/2},
+    then its tangent line there."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        small = np.where(t > 0, -t * t * np.log(np.where(t > 0, t, 1.0)), 0.0)
+    return np.where(t <= _SPLICE, small, 2.0 * _SPLICE * t - 0.5 * np.exp(-3.0))
+
+
+def _entropy_norm_by_bisection(rows, w):
+    """Row-wise entropy Luxemburg norms, w a scalar or one weight per row:
+    a doubling bracket [lam/2, lam], then bisection until the midpoint is
+    one of the ends."""
+    w = np.broadcast_to(np.asarray(w, dtype=float), rows.shape[:1])[:, None]
+
+    def le_one(lam):
+        return np.sum(w * _entropy_phi(rows / lam[:, None]), axis=1) <= 1.0
+
+    hi = rows.max(axis=1)
+    for _ in range(2100):
+        ok = le_one(hi)
+        if ok.all():
+            break
+        hi = np.where(ok, hi, 2.0 * hi)
+    for _ in range(2100):
+        ok = le_one(0.5 * hi)
+        if not ok.any():
+            break
+        hi = np.where(ok, 0.5 * hi, hi)
+    lo = 0.5 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (mid > lo) & (mid < hi)
+        if not live.any():
+            return hi
+        ok = le_one(mid)
+        hi = np.where(live & ok, mid, hi)
+        lo = np.where(live & ~ok, mid, lo)
+
+
+def _stft_row(n):
+    """|V_g f| of a Gaussian mix at N = n as one row, with its quadrature
+    weight."""
+    grid = o.make_grid(n, 12.0)
+    V = o.stft(o.make_gaussian_mix(grid, 42), o.make_gaussian(grid))
+    return np.abs(V.values).reshape(1, -1), V.grid.weight
+
+
+def _entropy_oracle_cases():
+    noise = _noise_rows((400, 256), 13)
+    stft_row, stft_w = _stft_row(256)
+    zeros = _noise_rows((6, 40), 14)
+    zeros[:, ::2] = 0.0
+    zeros[0, 2:] = 0.0
+    zeros[1, :-1] = 0.0
+    return {"noise": (noise, 12.0 / 128), "stft_row": (stft_row, stft_w),
+            "zeros": (zeros, 0.3)}
+
+
+@pytest.mark.parametrize("case", ["noise", "stft_row", "zeros"])
+def test_entropy_norm_matches_bisection_oracle(case):
+    rows, w = _entropy_oracle_cases()[case]
+    got = orlicz._luxemburg_batch(rows, w, YoungFunction.entropy())
+    want = _entropy_norm_by_bisection(rows, w)
+    # some samples lie on the tangent line, others on -t^2 log t
+    above = rows / want[:, None] > _SPLICE
+    assert above.any() and (~above & (rows > 0)).any()
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_entropy_one_entry_rows_with_weights_match_bisection_oracle():
+    """One-entry rows [1] with one weight 1/s per row, as the essential
+    inverse solves them: Phi^{-&}(s) is 1 / (their norm)."""
+    s = np.geomspace(1e-12, 1e12, 97)
+    got = YoungFunction.entropy().essential_inverse(s)
+    want = 1.0 / _entropy_norm_by_bisection(np.ones((s.size, 1)), 1.0 / s)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("w", [1e-100, 1e-200, 1e-300])
+def test_entropy_norm_far_out_on_the_tangent_line(w):
+    """A row [0, 1] at weight w has norm 1/t with Phi(t) = 1/w on the
+    tangent line: e^{2v} overflows there while the zero stays below the
+    splice, and its empty square sum must count as 0."""
+    got = orlicz._luxemburg_batch(np.array([[0.0, 1.0]]), w, YoungFunction.entropy())
+    want = 2.0 * _SPLICE / (1.0 / w + 0.5 * np.exp(-3.0))
+    # the root finder's tolerance is a few ulps of |log t|, up to 690 here
+    assert abs(got[0] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("case", ["noise", "stft_row"])
+def test_entropy_norm_homogeneity_at_extreme_scales(case):
+    rows, w = _entropy_oracle_cases()[case]
+    ent = YoungFunction.entropy()
+    base = orlicz._luxemburg_batch(rows, w, ent)
+    for c in (1e-200, 1e-20, 1e20, 1e200):
+        scaled = orlicz._luxemburg_batch(c * rows, w, ent)
+        assert np.max(np.abs(scaled - c * base) / (c * base)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(1000, 256), (1, 65536)])
+def test_entropy_batch_peak_memory(shape):
+    """The entropy solve holds the sorted rows and three prefix-sum tables,
+    within the 7.2 row batches its per-step Phi evaluation used to take."""
+    rows = _noise_rows(shape, 15)
+    tracemalloc.start()
+    try:
+        orlicz._luxemburg_batch(rows, 0.01, YoungFunction.entropy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.2 * rows.nbytes
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_power_norm_of_extreme_fields(p):
+    """A constant field of 1e200 or 1e-200 has a finite nonzero power norm,
+    c (2 * 4)^{1/p} on make_grid(16, 4.0).  In a batch, a row whose sum
+    overflows is taken over its max, and the ordinary rows beside it keep
+    the closed form's bits."""
+    grid = o.make_grid(16, 4.0)
+    phi = YoungFunction.power(p)
+    for c in (1e200, 1e-200):
+        got = o.luxemburg_norm(o.Field(grid, np.full(grid.shape, c)), phi)
+        assert abs(got - c * 8.0 ** (1.0 / p)) <= 1e-14 * c * 8.0 ** (1.0 / p)
+    rows = _noise_rows((3, 16), 16)
+    big = 1e250 * rows[1]
+    rows[1] = big
+    got = orlicz._luxemburg_batch(rows, grid.weight, phi)
+    with np.errstate(over="ignore"):
+        closed = np.sum(rows ** p, axis=1) * grid.weight
+    assert got[0] == closed[0] ** (1.0 / p) and got[2] == closed[2] ** (1.0 / p)
+    m = big.max()
+    want = m * orlicz._luxemburg_batch(big / m, grid.weight, phi)
+    assert abs(got[1] - want) <= 1e-15 * want
 
 
 def test_root_finder_raises_at_its_cap(monkeypatch):
