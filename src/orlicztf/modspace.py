@@ -9,7 +9,12 @@ norm.  For other functions it does not: the iterated norm, which
 `orlicztf norm mixed` computes, is a different number.  When both stages
 carry the same power c t^2 the joint norm is sqrt(c) |V_g f|_2, and Moyal's
 identity |V_g f|_2 = |f|_2 |g|_2, exact on the periodic grid, answers it in
-closed form: `modulation_norm` then forms no STFT.
+closed form: `modulation_norm` then forms no STFT.  Every other norm of a
+d >= 2 signal takes the STFT in slabs of one x_1 index, N^(2d-1) samples
+each, and the first stage reduces each slab as it comes
+(orlicz._streamed_mixed_norm): a power first stage holds a slab at a time,
+any other one the real N^(2d) array of its rows; no complex N^(2d) array
+is formed.  A d = 1 STFT is one slab, the same operations as `stft`.
 
 Every growth comparison "near the origin" (lower growth, inverse products,
 embeddings, and the local doubling of the hypothesis checkers) is one call
@@ -27,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, l2_norm, make_gaussian
-from .orlicz import MixedNormSpec, mixed_norm
-from .tfa import stft
+from . import tfa
+from .field import Field, l2_norm, make_gaussian, phase_grid
+from .orlicz import MixedNormSpec, _streamed_mixed_norm, mixed_norm
 from .young import (YoungFunction, _compare_near_zero, check_delta2, check_p_steered,
                     closed_power_form)
 
@@ -69,7 +74,8 @@ def modulation_norm(f: Field, spec: ModulationSpaceSpec, window: Field | None = 
 
     When phi == psi == c t^2 the norm is the joint one sqrt(c) |V f|_2, and
     Moyal's identity |V_g f|_2 = |f|_2 |g|_2, exact on the periodic grid,
-    gives it without forming the STFT.
+    gives it without forming the STFT.  Otherwise the STFT is fed to the
+    norm in x_1 slabs (one slab when d = 1), see the module docstring.
 
     Non-finite samples follow the Luxemburg layer's rule in every space: a
     NaN sample (of f or the window) gives NaN, otherwise an inf sample gives
@@ -84,8 +90,9 @@ def modulation_norm(f: Field, spec: ModulationSpaceSpec, window: Field | None = 
     cp = closed_power_form(spec.phi)
     if spec.phi == spec.psi and cp is not None and cp[1] == 2.0:
         return math.sqrt(cp[0]) * l2_norm(f) * l2_norm(window)
-    V = stft(f, window)
-    return phase_field_norm(V, spec)
+    d = f.grid.dimension
+    return _streamed_mixed_norm(phase_grid(f.grid), spec.stages_for(d),
+                                tfa._stft_slabs(f, window), f.grid.shape[0] if d == 1 else 1)
 
 
 # -- growth comparisons near the origin ----------------------------------------
@@ -216,8 +223,9 @@ def stft_norm_factorization_check(f1: Field, f2: Field,
 
     The left side is modulation_norm(V_{f1} f2), the norm of a two-variable
     field.  Moyal's identity answers it when Phi == Psi == c t^2, as for any
-    field; every other pair takes a four-dimensional STFT, which the
-    resolution guard (N <= 48, applied to every pair) keeps at desk scale.
+    field; every other pair streams a four-dimensional STFT, N^3 samples per
+    slab, through the norm.  The resolution guard (N <= 48, applied to every
+    pair) bounds its time, which grows as N^4 log N, not its memory.
     """
     n = max(ax.n for ax in f1.grid.axes)
     if n > 48:
@@ -231,7 +239,7 @@ def stft_norm_factorization_check(f1: Field, f2: Field,
     if l2_norm(f2) == 0.0 or l2_norm(f1) == 0.0:
         return {"lhs": 0.0, "rhs": 0.0, "ratio": math.nan}
 
-    lhs = modulation_norm(stft(f2, f1), m_spec)
+    lhs = modulation_norm(tfa.stft(f2, f1), m_spec)
     rhs = modulation_norm(f1, m_spec) * modulation_norm(f2, w_spec)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio}

@@ -12,7 +12,9 @@ function's own evaluator: the entropy conjugate by its Lambert-W closed form,
 any other conjugate by its Legendre transform.  Mixed norms iterate stages of
 axis groups, innermost first, with the weight entering only at the innermost
 stage, evaluated from the per-axis coordinates into one array of the field's
-shape.
+shape.  The first stage can take the field in slabs along axis 0, as a
+d >= 2 modulation norm feeds its STFT: a power stage then sums each slab
+into its rows and drops it, so the samples are never held at once.
 The Luxemburg norm of a field is the one-stage mixed norm over all its axes.
 """
 
@@ -28,7 +30,26 @@ from .weights import Weight
 from .young import _TINY, YoungFunction, _gauge_level, closed_power_form
 
 
-def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
+def _settled(mx: np.ndarray):
+    """(out, live) for rows with maxima mx: the norm wherever the max
+    settles it (NaN or inf exactly when the max is, 0 for a zero row), and
+    the rows left to solve."""
+    return np.where(np.isfinite(mx), 0.0, mx), (mx > 0) & (mx < np.inf)
+
+
+def _power_norms(mx: np.ndarray, sums: np.ndarray, c: float, w: float, p: float):
+    """(out, lost): the closed-form norms (c w sum a^p)^(1/p) of rows with
+    maxima mx and power sums sums, and the live rows whose c w sum left the
+    normal range, which the closed form cannot answer.  Over- and underflow
+    are the caller's to silence."""
+    out, live = _settled(mx)
+    total = c * w * sums[live]
+    out[live] = total ** (1.0 / p)
+    return out, np.flatnonzero(live)[~((total >= _TINY) & (total < np.inf))]
+
+
+def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,
+                     overwrite: bool = False) -> np.ndarray:
     """Row-wise Luxemburg norms of the nonnegative matrix a with scalar
     quadrature weight w: closed form for the power family, else the
     Illinois root finder on the log-gauge in log lambda, to a few ulps.
@@ -36,7 +57,9 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
     every other one evaluates Phi through phi._eval_array, so a conjugate
     is exact too (the entropy conjugate in closed form).
     A row with a NaN entry has norm NaN, else one with an inf entry inf.
-    Rows are summed C-ordered, whatever the layout of a."""
+    Rows are summed C-ordered, whatever the layout of a.  With overwrite,
+    the gauge may work in a when every row is live (the entropy gauge sorts
+    it in place); else it works in a copy of the live rows."""
     a = np.ascontiguousarray(a, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
@@ -45,27 +68,21 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction) -> np.ndarray:
         squeeze = False
 
     mx = a.max(axis=1) if a.shape[1] else np.zeros(a.shape[0])
-    # the row max is NaN or inf exactly when the norm is
-    out = np.where(np.isfinite(mx), 0.0, mx)
-    live = (mx > 0) & (mx < np.inf)
-
     cp = closed_power_form(phi)
     if cp is not None:
         c, p = cp
-        # a[live] would copy a batch in which every row is live
-        rows = a if live.all() else a[live]
         with np.errstate(over="ignore", under="ignore"):
-            total = c * w * np.sum(rows ** p, axis=1)
-            out[live] = total ** (1.0 / p)
-            # a sum out of the normal range is taken again over the row
-            # max, which keeps the power of every entry at most 1
-            if total.size and not _TINY <= total.min() <= total.max() < np.inf:
-                lost = np.flatnonzero(live)[~((total >= _TINY) & (total < np.inf))]
+            out, lost = _power_norms(mx, np.sum(a ** p, axis=1), c, w, p)
+            if lost.size:
+                # a sum out of the normal range is taken again over the row
+                # max, which keeps the power of every entry at most 1
                 m = mx[lost]
                 out[lost] = m * (c * w * np.sum((a[lost] / m[:, None]) ** p, axis=1)) ** (1.0 / p)
-    elif np.any(live):
-        scale, level = _gauge_level(phi, a[live], w)
-        out[live] = scale * np.exp(-level)
+    else:
+        out, live = _settled(mx)
+        if np.any(live):
+            scale, level = _gauge_level(phi, a if overwrite and live.all() else a[live], w)
+            out[live] = scale * np.exp(-level)
     return out[0] if squeeze else out
 
 
@@ -89,36 +106,88 @@ class MixedNormSpec:
 
 
 def mixed_norm(f: Field, spec: MixedNormSpec) -> float:
-    """Iterated weighted norm over the given stage list.
+    """Iterated weighted norm over the given stage list, of the field taken
+    as one slab (see _streamed_mixed_norm)."""
+    return _streamed_mixed_norm(f.grid, spec, f.values.__getitem__, f.grid.shape[0])
 
-    |f|, times the weight, is written straight into the first stage's rows:
-    one contiguous row per batch entry, its reduced axes last, as a
-    transposed copy would hold them, but with no copy."""
-    nd = f.values.ndim
+
+def _spacing(grid, axes) -> float:
+    w = 1.0
+    for a in axes:
+        w *= grid.axes[a].spacing
+    return w
+
+
+def _streamed_mixed_norm(grid, spec: MixedNormSpec, slab, step: int) -> float:
+    """Iterated weighted norm of the field on `grid` whose samples at the
+    axis-0 indices of a slice `rows` are slab(rows), fed in slabs of `step`
+    indices; only the first stage sees the samples, each slab once."""
+    nd = grid.dimension
     if spec.axes_covered() != set(range(nd)):
         raise ValueError("stage axes must partition the field axes")
 
-    vals = f.values
-    remaining = list(range(nd))
-    for k, (axes, phi) in enumerate(spec.stages):
+    vals = _first_stage(grid, spec, slab, step)
+    remaining = [i for i in range(nd) if i not in spec.stages[0][0]]
+    for axes, phi in spec.stages[1:]:
         pos = [remaining.index(a) for a in axes]
         keep = [i for i in range(vals.ndim) if i not in pos]
-        perm = keep + pos
-        moved = np.transpose(vals, perm)
-        if k == 0:
-            moved = np.abs(moved, out=np.empty(moved.shape))
-            if not spec.weight.is_constant_one:
-                moved *= np.transpose(spec.weight.evaluate(f.grid), perm)
+        moved = np.transpose(vals, keep + pos)
         batch_shape = moved.shape[: len(keep)]
         red = int(np.prod(moved.shape[len(keep):], dtype=int)) if pos else 1
-        mat = moved.reshape(-1, red)
-        w = 1.0
-        for a in axes:
-            w *= f.grid.axes[a].spacing
-        normed = _luxemburg_batch(mat, w, phi)
+        normed = _luxemburg_batch(moved.reshape(-1, red), _spacing(grid, axes), phi)
         vals = normed.reshape(batch_shape)
         remaining = [remaining[i] for i in keep]
     return float(vals.reshape(()))
+
+
+def _first_stage(grid, spec: MixedNormSpec, slab, step: int) -> np.ndarray:
+    """The first stage's norms, shaped by its kept axes, reducing each slab
+    as it comes.
+
+    A closed power stage over several slabs adds each slab's row maxima and
+    power sums, reduced in the slab's own layout, into its rows: a slab's
+    own rows when axis 0 is kept, else every row.  Every other stage, a
+    single slab (so that a formed field keeps its bits), and a power sum out
+    of the normal range (for which the slabs run again) solve the stage's
+    rows by _luxemburg_batch: |f|, times the weight, of each slab is written
+    straight into them, one contiguous row per batch entry with its reduced
+    axes last, as a transposed copy would hold them, but with no copy."""
+    (axes, phi), nd = spec.stages[0], grid.dimension
+    keep = [i for i in range(nd) if i not in axes]
+    perm = keep + list(axes)
+    shape = tuple(grid.shape[i] for i in perm)
+    batch = shape[: len(keep)]
+    w = _spacing(grid, axes)
+    weight = None if spec.weight.is_constant_one else spec.weight.evaluate(grid)
+    slabs = [slice(i, i + step) for i in range(0, grid.shape[0], step)]
+
+    cp = closed_power_form(phi)
+    if cp is not None and len(slabs) > 1:
+        c, p = cp
+        mx, sums = np.zeros(batch), np.zeros(batch)
+        for rows in slabs:
+            a = np.abs(slab(rows))
+            if weight is not None:
+                a *= weight[rows]
+            at = rows if 0 in keep else Ellipsis
+            mx[at] = np.maximum(mx[at], a.max(axis=axes))
+            with np.errstate(over="ignore", under="ignore"):
+                sums[at] += np.power(a, p, out=a).sum(axis=axes)
+        with np.errstate(over="ignore", under="ignore"):
+            out, lost = _power_norms(mx.reshape(-1), sums.reshape(-1), c, w, p)
+        if not lost.size:
+            return out.reshape(batch)
+
+    buf = np.empty(shape)
+    in_field_order = np.transpose(buf, np.argsort(perm))
+    for rows in slabs:
+        moved = np.abs(np.transpose(slab(rows), perm),
+                       out=np.transpose(in_field_order[rows], perm))
+        if weight is not None:
+            moved *= np.transpose(weight[rows], perm)
+    weight = None  # freed before the rows are solved
+    rows = buf.reshape(-1, math.prod(shape[len(keep):]))
+    return _luxemburg_batch(rows, w, phi, overwrite=True).reshape(batch)
 
 
 def luxemburg_norm(f: Field, phi: YoungFunction, omega: Weight | None = None) -> float:

@@ -4,9 +4,12 @@ convolution, parameterized Wigner distributions, quantization change.
 Conventions: V_phi f(x, xi) = (2pi)^(-d/2) integral f(y) conj(phi(y - x))
 exp(-i<y, xi>) dy, realized on the grid with periodic window translates.
 The translates are a zero-copy strided view (a circulant per axis), so the
-STFT and its adjoint form the N^(2d) product once, and the STFT transforms
-and scales that product in place: it is the one N^(2d) array the STFT
-holds.  Every centred FFT is centred by sign vectors, not rolls
+adjoint forms the N^(2d) product once, and the STFT forms it in slabs of
+x_1 indices, each transformed and scaled in place (_stft_slabs).  `stft` is
+one slab over the whole range.  A norm of the STFT of a d >= 2 signal
+(modspace.modulation_norm) takes one x_1 index per slab, N^(2d-1) samples,
+and reduces each slab as it comes, so it forms no N^(2d) complex array.
+Every centred FFT is centred by sign vectors, not rolls
 (field._centered_fft).
 On a phase grid dx dxi = 2pi/N, so exp(-i y eta) is a power of
 w = exp(2pi i/N) and the twisted-convolution quadrature is exactly the
@@ -59,19 +62,36 @@ def _translates(window_values: np.ndarray) -> np.ndarray:
     return rows[tuple(slice(n + n // 2, n // 2, -1) for n in shape)]
 
 
-def stft(f: Field, window: Field) -> Field:
-    """Short-time Fourier transform onto the phase grid of f's grid."""
-    if not f.grid.matches(window.grid):
-        raise ValueError("signal and window must share a grid")
+def _stft_slabs(f: Field, window: Field):
+    """slab(rows) -> V[rows]: the STFT of f at the x_1 indices of the slice
+    `rows`, an array of shape (len(rows),) + the rest of the phase grid's
+    shape.
+
+    The product (f s) conj(window translates)[rows] is the only array of a
+    slab's size: the input centring signs s ride on f, the output signs on
+    the scale, and the FFT writes over the product."""
     d = f.grid.dimension
     axes = tuple(range(d, 2 * d))
     s, c = _centering_signs((1,) * d + f.grid.shape, axes)
-    # the product is the only N^(2d) array formed: the input centring signs
-    # ride on f, the output signs on the scale, and the FFT writes over it
-    prod = (f.values * s) * _translates(np.conj(window.values))
-    np.fft.fftn(prod, axes=axes, out=prod)
-    prod *= s * (c * f.grid.weight / (2.0 * math.pi) ** (d / 2.0))
-    return Field(phase_grid(f.grid), prod)
+    fs = f.values * s
+    translates = _translates(np.conj(window.values))
+    scale = s * (c * f.grid.weight / (2.0 * math.pi) ** (d / 2.0))
+
+    def slab(rows: slice) -> np.ndarray:
+        prod = fs * translates[rows]
+        np.fft.fftn(prod, axes=axes, out=prod)
+        prod *= scale
+        return prod
+
+    return slab
+
+
+def stft(f: Field, window: Field) -> Field:
+    """Short-time Fourier transform onto the phase grid of f's grid: one
+    slab over the whole x_1 range."""
+    if not f.grid.matches(window.grid):
+        raise ValueError("signal and window must share a grid")
+    return Field(phase_grid(f.grid), _stft_slabs(f, window)(slice(None)))
 
 
 def _split_phase(F: Field):

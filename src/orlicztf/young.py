@@ -325,9 +325,15 @@ class YoungFunction:
         out = np.where(s >= s0, self.infinity_point(), np.nan)
         out[s == 0] = 0.0
         solve = (s > 0) & (s < s0)
-        sv = s[solve]
-        scale, level = _gauge_level(self, np.ones((sv.size, 1)), 1.0 / sv)
-        out[solve] = np.exp(level) / scale
+        with np.errstate(over="ignore"):
+            w = 1.0 / np.where(solve, s, 1.0)
+        # below 1 / DBL_MAX the weight 1/s overflows
+        gauge = solve & (w < np.inf)
+        scale, level = _gauge_level(self, np.ones((np.count_nonzero(gauge), 1)), w[gauge])
+        out[gauge] = np.exp(level) / scale
+        tiny = solve & ~gauge
+        if tiny.any():
+            out[tiny] = _tiny_inverse(self, s[tiny])
         return out
 
 
@@ -501,23 +507,36 @@ def _entropy_level(rows: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray
     return _illinois(log_gauge, v0, -np.inf, np.inf, 1.0, np.arange(r), w)
 
 
+def _tiny_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
+    """Phi^{-&}(s) for 0 < s < 1 / DBL_MAX, where the gauge's weight 1/s
+    overflows: the root of log Phi(t) = log s in log t.  The entropy Phi
+    underflows there, so it is solved in closed form: t^2 log(1/t) = s
+    with v = -2 log t is v - log v = -log(2 s), in y = v - 1 the equation
+    of _log1p_root with c = log(2 s) + 1, and t = sqrt(2 s) / sqrt(v)."""
+    if phi.kind == "entropy":
+        v = 1.0 + _log1p_root(np.log(2.0 * s) + 1.0)
+        return np.sqrt(2.0 * s) / np.sqrt(v)
+    log_s = np.log(s)
+    t1, t2 = phi.zero_point(), phi.infinity_point()
+    u_min = math.log(t1) if t1 > 0 else -math.inf
+    u_max = math.log(t2) if math.isfinite(t2) else _LOG_LARGEST
+
+    def gap(u, log_s):
+        return np.log(phi._eval_array(np.exp(u))) - log_s
+
+    return np.exp(_illinois(gap, log_s, u_min, u_max, phi.quasi_order, log_s))
+
+
 # -- conjugate evaluation ----------------------------------------------------
 
 
-def _entropy_legendre(s: np.ndarray):
-    """(argmax, value) of sup_t (s t - Phi(t)) for the entropy kind, s in
-    [0, t2*) with t2* = Phi'(inf) = 2 exp(-3/2): s / v and
-    (s / v)^2 (v - 1) / 2 = e^{-(1+v)} (v - 1) / 2, where v = -(2 log t + 1)
-    at the argmax t, so that v / 2 = -W_{-1}(-s sqrt(e) / 2) (Corless,
-    Gonnet, Hare, Jeffrey and Knuth, "On the Lambert W function", Adv.
-    Comput. Math. 5, 1996).  In y = v / 2 - 1 that is log1p(y) - y = c with
-    c = log(s / t2*), free of the underflow of W's own equation at small s.
-    Two Halley steps solve it to a few ulps from the branch-point series
-    y = p + p^2/3 + p^3/36, p = sqrt(-2c), where c > -2, else from
-    1 + y = a + log a + log(a) / a with a = 1 - c.
-    """
+def _log1p_root(c: np.ndarray) -> np.ndarray:
+    """The root y >= 0 of log1p(y) - y = c <= 0, to a few ulps: two Halley
+    steps from the branch-point series y = p + p^2/3 + p^3/36,
+    p = sqrt(-2c), where c > -2, else from 1 + y = a + log a + log(a) / a
+    with a = 1 - c (Corless, Gonnet, Hare, Jeffrey and Knuth, "On the
+    Lambert W function", Adv. Comput. Math. 5, 1996)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.log(np.maximum(s, _TINY) / ENTROPY_SLOPE)
         p = np.sqrt(-2.0 * c)
         a = 1.0 - c
         log_a = np.log(a)
@@ -526,7 +545,20 @@ def _entropy_legendre(s: np.ndarray):
         for _ in range(2):
             g = np.log1p(y) - y - c
             y = y + 2.0 * g * y * (1.0 + y) / (2.0 * y * y + g)
-    v = 2.0 + 2.0 * y
+    return y
+
+
+def _entropy_legendre(s: np.ndarray):
+    """(argmax, value) of sup_t (s t - Phi(t)) for the entropy kind, s in
+    [0, t2*) with t2* = Phi'(inf) = 2 exp(-3/2): s / v and
+    (s / v)^2 (v - 1) / 2 = e^{-(1+v)} (v - 1) / 2, where v = -(2 log t + 1)
+    at the argmax t, so that v / 2 = -W_{-1}(-s sqrt(e) / 2).  In
+    y = v / 2 - 1 that is log1p(y) - y = c with c = log(s / t2*), free of
+    the underflow of W's own equation at small s (_log1p_root).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.log(np.maximum(s, _TINY) / ENTROPY_SLOPE)
+    v = 2.0 + 2.0 * _log1p_root(c)
     t = s / v
     return t, t * (0.5 * (v - 1.0) * t)
 

@@ -7,7 +7,8 @@ import pytest
 
 import orlicztf as o
 from conftest import gaussian_window, noise_field, unit
-from orlicztf import ModulationSpaceSpec, YoungFunction, check_delta2, modspace
+from orlicztf import ModulationSpaceSpec, YoungFunction, check_delta2, tfa
+from orlicztf.field import Axis
 from orlicztf.modspace import inverse_product_check, phase_field_norm
 
 P2 = YoungFunction.power(2)
@@ -45,7 +46,7 @@ def test_joint_power2_norm_is_moyal_closed_form(monkeypatch, grid, window, phi, 
     f = o.make_gaussian_mix(grid, 5)
     ref = phase_field_norm(o.stft(f, window), spec)
     calls = []
-    monkeypatch.setattr(modspace, "stft", lambda *a: calls.append(a))
+    monkeypatch.setattr(tfa, "_stft_slabs", lambda *a: calls.append(a))
     got = o.modulation_norm(f, spec, window=window)
     assert calls == []
     assert abs(got - ref) <= 1e-14 * ref
@@ -97,18 +98,84 @@ def test_non_finite_modulation_norms_nan_first(grid64, spec):
                           window=gaussian_window(o.make_grid(64, 9.0)))
 
 
-@pytest.mark.parametrize("spec", [M3_15, MPHI, M2_3], ids=["M3,1.5", "entropy", "M2,3"])
-def test_other_norms_take_the_stft_path(monkeypatch, grid64, spec):
-    calls = []
-    stft = modspace.stft
+def _count_slabs(monkeypatch, calls, key):
+    """Record key(f, rows) for each STFT slab taken (tfa._stft_slabs)."""
+    slabs = tfa._stft_slabs
 
     def counted(f, window):
-        calls.append(f.grid.shape)
-        return stft(f, window)
+        slab = slabs(f, window)
 
-    monkeypatch.setattr(modspace, "stft", counted)
+        def one(rows):
+            calls.append(key(f, rows))
+            return slab(rows)
+
+        return one
+
+    monkeypatch.setattr(tfa, "_stft_slabs", counted)
+
+
+@pytest.mark.parametrize("spec", [M3_15, MPHI, M2_3], ids=["M3,1.5", "entropy", "M2,3"])
+def test_other_norms_take_the_stft_path(monkeypatch, grid64, spec):
+    """A d=1 STFT is one slab over the whole x range."""
+    calls = []
+    _count_slabs(monkeypatch, calls, lambda f, rows: (f.grid.shape, rows))
     o.modulation_norm(o.make_gaussian_mix(grid64, 2), spec)
-    assert calls == [(64,)]
+    assert calls == [((64,), slice(0, 64))]
+
+
+P1, P15, P3 = YoungFunction.power(1), YoungFunction.power(1.5), YoungFunction.power(3)
+D2_GRIDS = [pytest.param(o.Grid((Axis(16, 5.0), Axis(24, 6.0))), id="16x24"),
+            pytest.param(o.make_grid(24, 6.0, 2), id="24x24")]
+D2_SPECS = [pytest.param(ModulationSpaceSpec(phi, psi, flavor), id=f"{flavor}-{label}")
+            for label, phi, psi in (("power1.5/3", P15, P3), ("entropy/power2", ENT, P2),
+                                    ("power2/entropy", P2, ENT))
+            for flavor in ("M", "W")]
+D2_SPECS += [pytest.param(ModulationSpaceSpec(P1, P1), id="joint-power1"),
+             pytest.param(MPHI, id="joint-entropy")]
+
+
+@pytest.mark.parametrize("grid", D2_GRIDS)
+@pytest.mark.parametrize("spec", D2_SPECS)
+def test_d2_streamed_norm_is_the_norm_of_the_formed_stft(monkeypatch, grid, spec):
+    """The norm fed one x_1 slab at a time equals the mixed norm of the
+    formed STFT, and takes one slab per x_1 index."""
+    f = o.make_gaussian_mix(grid, 8)
+    window = gaussian_window(grid)
+    want = o.mixed_norm(o.stft(f, window), spec.stages_for(2))
+    calls = []
+    _count_slabs(monkeypatch, calls, lambda f, rows: rows)
+    got = o.modulation_norm(f, spec)
+    assert abs(got - want) <= 1e-13 * want
+    assert calls == [slice(i, i + 1) for i in range(grid.shape[0])]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("spec", D2_SPECS)
+def test_d2_streamed_norm_scales_out_of_range(monkeypatch, spec, scale):
+    """Power sums out of the normal range are taken again over the row max:
+    a power first stage then runs the slabs a second time."""
+    grid = o.Grid((Axis(16, 5.0), Axis(24, 6.0)))
+    f = o.make_gaussian_mix(grid, 8)
+    want = scale * o.modulation_norm(f, spec)
+    calls = []
+    _count_slabs(monkeypatch, calls, lambda f, rows: rows)
+    got = o.modulation_norm(o.Field(grid, scale * f.values), spec)
+    assert abs(got - want) <= 1e-13 * want
+    # the W flavor's first stage is power 3 over the xi axes
+    if spec.psi == P3 and spec.flavor == "W":
+        assert len(calls) == 2 * grid.shape[0]
+
+
+@pytest.mark.parametrize("spec", D2_SPECS)
+def test_d2_non_finite_modulation_norms_nan_first(spec):
+    grid = o.make_grid(16, 5.0, 2)
+    v = o.make_gaussian_mix(grid, 1).values.copy()
+    v[3, 5] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert o.modulation_norm(o.Field(grid, v), spec) == math.inf
+        v[9, 2] = complex(1.0, math.nan)
+        assert math.isnan(o.modulation_norm(o.Field(grid, v), spec))
 
 
 def test_m11_gaussian_closed_value(grid256):
@@ -301,43 +368,45 @@ def _pair24(seed):
     return o.make_gaussian_mix(g, seed), o.make_gaussian_mix(g, seed + 1)
 
 
-def test_d2_modulation_norm_holds_one_stft_and_its_rows():
-    """The STFT (one unit), |V| in the first stage's rows and its powers
-    (half a unit each), and nothing else of that size."""
+def test_d2_modulation_norm_holds_one_slab_at_a_time():
+    """A slab (1/24 of a unit) and its magnitudes, and no array the size of
+    the STFT: a power first stage sums each slab into its rows."""
     a, b = _pair24(1)
     ab = o.Field(o.make_grid(24, 6.0, 2), np.multiply.outer(a.values, b.values))
     m = ModulationSpaceSpec(YoungFunction.power(1.5), YoungFunction.power(3))
-    assert _peak_units(o.modulation_norm, ab, m) <= 2.05
+    assert _peak_units(o.modulation_norm, ab, m) <= 0.25
 
 
-@pytest.mark.parametrize("p, bound", [(2, 0.05), (1, 2.05)])
+def test_d2_joint_entropy_norm_holds_only_its_rows():
+    """A first stage without a closed form holds |V| in its rows (half a
+    unit) and the entropy gauge's sorted tables, but no complex STFT."""
+    a, b = _pair24(1)
+    ab = o.Field(o.make_grid(24, 6.0, 2), np.multiply.outer(a.values, b.values))
+    assert _peak_units(o.modulation_norm, ab, MPHI) <= 2.2
+
+
+@pytest.mark.parametrize("p, bound", [(2, 0.05), (1, 0.25)])
 def test_factorization_check_peak_memory(p, bound):
     a, b = _pair24(3)
     phi = YoungFunction.power(p)
     assert _peak_units(o.stft_norm_factorization_check, a, b, phi, phi) <= bound
 
 
-def _four_d_lhs(f1, f2, phi):
-    V12 = o.stft(f2, f1)
-    V4 = o.stft(V12, o.make_gaussian(V12.grid, 1.0))
-    return o.mixed_norm(V4, ModulationSpaceSpec(phi, phi).stages_for(2))
-
-
 @pytest.mark.parametrize("seed", [5, 7, 9])
 def test_factorization_lhs_is_the_modulation_norm(monkeypatch, seed):
-    """Power 2: Moyal's identity, one STFT, the 4-d value to 1e-12.
-    Power 1: the 4-d path itself, bit for bit."""
+    """Power 2: Moyal's identity, one STFT slab (d=1), the 4-d value to
+    1e-12.  Power 1: the streamed 4-d norm, the weighted sum of |V| over
+    the formed 4-d STFT (summed exactly by math.fsum) to 1e-14."""
     f1, f2 = _pair24(seed)
+    V12 = o.stft(f2, f1)
+    V4 = o.stft(V12, o.make_gaussian(V12.grid, 1.0))
     calls = []
-    stft = modspace.stft
-
-    def counted(f, window):
-        calls.append(f.grid.dimension)
-        return stft(f, window)
-
-    monkeypatch.setattr(modspace, "stft", counted)
+    _count_slabs(monkeypatch, calls, lambda f, rows: f.grid.dimension)
     got = o.stft_norm_factorization_check(f1, f2, P2, P2)["lhs"]
     assert calls == [1]
-    assert abs(got - _four_d_lhs(f1, f2, P2)) <= 1e-12 * got
+    want = o.mixed_norm(V4, M2.stages_for(2))
+    assert abs(got - want) <= 1e-12 * got
     p1 = YoungFunction.power(1)
-    assert o.stft_norm_factorization_check(f1, f2, p1, p1)["lhs"] == _four_d_lhs(f1, f2, p1)
+    got = o.stft_norm_factorization_check(f1, f2, p1, p1)["lhs"]
+    want = math.fsum(np.abs(V4.values).ravel()) * V4.grid.weight
+    assert abs(got - want) <= 1e-14 * want

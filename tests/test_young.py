@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -348,6 +349,43 @@ def test_essential_inverse_landmarks():
     assert got[0] == 0.0 and got[2] == math.pi / 2 and math.isnan(got[3])
     assert abs(got[1] - math.pi / 4) < 1e-15
     assert list(cap.essential_inverse(s[:3])) == [0.0, 2.0, 2.0]
+
+
+def _entropy_inverse_oracle(s: float) -> float:
+    """The root t of 2 log t + log(-log t) = log s (-t^2 log t = s, below
+    the splice), bisected in log t with 50-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        log_s = decimal.Decimal(s).ln()
+        lo, hi = decimal.Decimal(-800), decimal.Decimal(-2)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if 2 * mid + (-mid).ln() > log_s:
+                hi = mid
+            else:
+                lo = mid
+        return float(lo.exp())
+
+
+@pytest.mark.parametrize("s", [5e-324, 1e-315, 1e-310, 1e-300])
+def test_entropy_inverse_of_tiny_values(s):
+    """Below 1 / DBL_MAX (about 5.6e-309) the gauge's weight 1/s overflows;
+    the inverse is still exact there, and raises no warning."""
+    got = YoungFunction.entropy().essential_inverse(s)
+    want = _entropy_inverse_oracle(s)
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("name", sorted(k for k, phi in WITH_CONJUGATES.items()
+                                         if phi.sup_value() > 0))
+def test_essential_inverse_of_tiny_values_is_finite_and_monotone(name):
+    """Every kind answers s on both sides of 1 / DBL_MAX, without a warning:
+    finite, at least the zero point, nondecreasing in s."""
+    phi = WITH_CONJUGATES[name]
+    got = phi.essential_inverse(np.array([5e-324, 1e-315, 1e-310, 5.5e-309, 5.6e-309,
+                                          1e-300]))
+    assert np.all(np.isfinite(got)) and np.all(got >= phi.zero_point())
+    assert np.all(np.diff(got) >= 0.0)
 
 
 def test_entropy_conjugate_closed_form_matches_the_generic_path():
