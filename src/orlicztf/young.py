@@ -33,7 +33,14 @@ and there the two definitions agree.
 A conjugate has one exact evaluator per base, used by norms, inverses and
 biconjugates alike: a t for cap(a), a Lambert-W closed form for entropy
 (e^{-3}/2 at its jump point 2 exp(-3/2), inf beyond), and else the generic
-Legendre transform, with the shared root finder on Phi' for the argmax.
+Legendre transform s t - Phi(s) at the argmax s.  That argmax is read off
+for a cap or a table, and for a base that is itself a conjugate Psi* it is
+Psi'(t), since (Psi*)' is the generalized inverse of Psi' (Rao and Ren,
+ch. I); else the shared root finder solves Phi'(s) = t.  So Psi** costs
+one solve, for Psi* at Psi'(t), and no conjugate of any depth nests one
+root finder in another.  A conjugate of a conjugate is never replaced by
+its base: Psi** is evaluated as a Legendre transform, so the biconjugation
+check compares two computations.
 """
 
 from __future__ import annotations
@@ -327,13 +334,17 @@ class YoungFunction:
         solve = (s > 0) & (s < s0)
         with np.errstate(over="ignore"):
             w = 1.0 / np.where(solve, s, 1.0)
-        # below 1 / DBL_MAX the weight 1/s overflows
-        gauge = solve & (w < np.inf)
+        if self.kind == "entropy":
+            # the closed form holds up to the splice value Phi(e^{-3/2}) = 3 e^{-3} / 2
+            direct = solve & (s < 3.0 * ENTROPY_INTERCEPT)
+        else:
+            # below 1 / DBL_MAX the weight 1/s overflows
+            direct = solve & (w == np.inf)
+        gauge = solve & ~direct
         scale, level = _gauge_level(self, np.ones((np.count_nonzero(gauge), 1)), w[gauge])
         out[gauge] = np.exp(level) / scale
-        tiny = solve & ~gauge
-        if tiny.any():
-            out[tiny] = _tiny_inverse(self, s[tiny])
+        if direct.any():
+            out[direct] = _direct_inverse(self, s[direct])
         return out
 
 
@@ -494,9 +505,11 @@ def _entropy_level(rows: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray
     np.cumsum(b[:, ::-1], axis=1, out=top[:, -2::-1])
 
     def log_gauge(v, live, w):
-        # the live rows, read in place while no row has left the loop
-        sub = b if live.size == r else b[live]
-        j = np.count_nonzero(sub <= (ENTROPY_SPLICE * np.exp(-v))[:, None], axis=1)
+        # b is read in place, never copied: a row that has left the loop is
+        # compared with 0 and its count dropped
+        x = np.zeros(r)
+        x[live] = ENTROPY_SPLICE * np.exp(-v)
+        j = np.count_nonzero(b <= x[:, None], axis=1)[live]
         ev = np.exp(v)
         # fmax turns inf * 0, where the small set holds only zeros, into 0
         small = np.fmax(ev * ev * (ent[live, j] - v * sq[live, j]), 0.0)
@@ -507,12 +520,15 @@ def _entropy_level(rows: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray
     return _illinois(log_gauge, v0, -np.inf, np.inf, 1.0, np.arange(r), w)
 
 
-def _tiny_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
-    """Phi^{-&}(s) for 0 < s < 1 / DBL_MAX, where the gauge's weight 1/s
-    overflows: the root of log Phi(t) = log s in log t.  The entropy Phi
-    underflows there, so it is solved in closed form: t^2 log(1/t) = s
-    with v = -2 log t is v - log v = -log(2 s), in y = v - 1 the equation
-    of _log1p_root with c = log(2 s) + 1, and t = sqrt(2 s) / sqrt(v)."""
+def _direct_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
+    """Phi^{-&}(s) where the gauge does not serve: for 0 < s < 1 / DBL_MAX,
+    where its weight 1/s overflows, the root of log Phi(t) = log s in
+    log t.  For the entropy Phi, which underflows there and whose gauge
+    stops a few ulps of |log t| off (1.5e-13 relative at s = 1e-297), the
+    whole branch below the splice value Phi(e^{-3/2}) is solved in closed
+    form instead: t^2 log(1/t) = s with v = -2 log t is v - log v =
+    -log(2 s), in y = v - 1 the equation of _log1p_root with
+    c = log(2 s) + 1, and t = sqrt(2 s) / sqrt(v)."""
     if phi.kind == "entropy":
         v = 1.0 + _log1p_root(np.log(2.0 * s) + 1.0)
         return np.sqrt(2.0 * s) / np.sqrt(v)
@@ -563,6 +579,13 @@ def _entropy_legendre(s: np.ndarray):
     return t, t * (0.5 * (v - 1.0) * t)
 
 
+def _log_argmax_cap(base: YoungFunction) -> float:
+    """log of the largest argmax s searched: the last double below the
+    jump point t2, or DBL_MAX."""
+    t2 = base.infinity_point()
+    return math.log(np.nextafter(t2, 0.0)) if math.isfinite(t2) else _LOG_LARGEST
+
+
 def _legendre_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
     """argmax_s (s t - Phi(s)) = sup{s : Phi'(s) <= t} for any base, over s
     from about 1e-321 up to the last point where Phi is finite.
@@ -573,8 +596,7 @@ def _legendre_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
     by bisection.
     """
     t = np.asarray(t, dtype=float)
-    t2 = base.infinity_point()
-    v_max = math.log(np.nextafter(t2, 0.0)) if math.isfinite(t2) else _LOG_LARGEST
+    v_max = _log_argmax_cap(base)
     ts = t.reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t = np.log(ts)
@@ -594,11 +616,17 @@ def _conjugate_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
     """Phi*'(t) = argmax_s (s t - Phi(s)): a for cap(a), whose conjugate is
     a t; the entropy closed form (every s once t reaches Phi'(inf)); for a
     table, whose Phi' is a step function, the knot that starts the first
-    piece steeper than t, read off directly (the generic solve takes about
-    50 bisection steps there, and the battery's biconjugate of a table
-    nests two: 1.2 s of a 9 s battery on a 2-core x86-64 machine); else
+    piece steeper than t, read off directly (where t equals a slope the
+    generic solve would return the near knot, not the far one); for a
+    conjugate Phi = Psi*, Psi'(t), since sup{s : (Psi*)'(s) <= t} = Psi'(t)
+    for right derivatives (Rao and Ren, ch. I), clamped to the range the
+    generic solve searches, [e^-740, the largest s below t2*], so that no
+    conjugate of any depth nests one root finder in another; else
     `_legendre_argmax`."""
     t = np.asarray(t, dtype=float)
+    if base.kind == "conjugate":
+        s_max = math.exp(_log_argmax_cap(base))
+        return np.clip(base.params["base"]._deriv_array(t), math.exp(_LOG_SMALLEST), s_max)
     if base.kind == "cap":
         return np.full(t.shape, base.params["a"])
     if base.kind == "entropy":

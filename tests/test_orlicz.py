@@ -341,6 +341,21 @@ def test_entropy_batch_peak_memory(shape):
     assert peak <= 7.2 * rows.nbytes
 
 
+def test_entropy_batch_reads_its_live_rows_in_place():
+    """Once rows leave the root finder, the live ones are still read in
+    place: a 576 x 576 batch, the rows of a d=2 joint norm at N=24, solved
+    in its own buffer holds the three prefix-sum tables (1.5 units of a
+    complex 24^4 array) and no copy of its rows (half a unit)."""
+    rows = _noise_rows((576, 576), 15)
+    tracemalloc.start()
+    try:
+        orlicz._luxemburg_batch(rows, 1.0 / 576 ** 2, YoungFunction.entropy(), overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * 16 * 24 ** 4
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_power_norm_of_extreme_fields(p):
     """A constant field of 1e200 or 1e-200 has a finite nonzero power norm,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicztf import YoungFunction, check_delta2, check_p_steered, closed_power_form, verify
+from orlicztf import YoungFunction, check_delta2, check_p_steered, closed_power_form, verify, young
 from orlicztf.young import _XTOL, _conjugate_argmax, _legendre_argmax
 
 BUILTINS = {
@@ -307,9 +307,7 @@ TABLES = {
 BASES = {**BUILTINS, **TABLES}
 WITH_CONJUGATES = {**BASES, "power0.5": YoungFunction.power(0.5)}
 WITH_CONJUGATES.update({"conjugate:" + k: phi.conjugate() for k, phi in BASES.items()})
-# the conjugate of a table has a step-function derivative, run by the solver
-ARGMAX_BASES = {**BASES, "conjugate:table_finite_tail":
-                TABLES["table_finite_tail"].conjugate()}
+ARGMAX_BASES = {**BASES, **{"conjugate:" + k: phi.conjugate() for k, phi in BASES.items()}}
 
 
 def _rel(got, want):
@@ -328,6 +326,44 @@ def test_argmax_matches_bisection(name):
     if conj.kind == "conjugate" and base.kind != "cap":
         vals = np.maximum(want * t - base._eval_array(want), 0.0)
         assert np.max(_rel(conj._eval_array(t), vals)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(
+    k for k, phi in ARGMAX_BASES.items() if phi.kind == "conjugate"
+    and (phi.params["base"].inf_slope() == 0 or math.isfinite(phi.sup_slope()))))
+def test_argmax_of_a_conjugate_at_the_clamped_ends(name):
+    """The argmax of Psi* at t is Psi'(t), clamped to the range the generic
+    solve searches: its low end e^-740 where Psi'(t) = 0, and its high end
+    past Psi's jump point t2, where Psi'(t) = inf.  The generic solve gives
+    the same high end; at the low end it stops in the subnormals, where
+    (Psi*)'(s) may underflow to 0 (the entropy closed form s / v)."""
+    conj = ARGMAX_BASES[name]
+    psi = conj.params["base"]
+    t = np.array([0.0, 0.5 * psi.zero_point(), 2.0 * psi.infinity_point()])
+    t = t[np.isfinite(t)]
+    d = psi.derivative(t)
+    keep = (d == 0.0) | (d == math.inf)
+    ends, low = t[keep], d[keep] == 0.0
+    got, generic = _conjugate_argmax(conj, ends), _legendre_argmax(conj, ends)
+    assert ends.size and np.all(got[low] == math.exp(-740.0))
+    assert np.all(generic[low] < np.finfo(float).tiny)
+    assert list(got[~low]) == list(generic[~low])
+
+
+@pytest.mark.parametrize("name", ["tan_example", "log_example"])
+def test_a_biconjugate_runs_one_root_finder(monkeypatch, name):
+    """Psi** takes the argmax of Psi* from Psi' and solves only for Psi* at
+    it: one root finder for the whole batch, none nested in another."""
+    calls = []
+    solve = young._illinois
+
+    def counted_solve(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(young, "_illinois", counted_solve)
+    BUILTINS[name].conjugate().conjugate()._eval_array(np.geomspace(1e-3, 10.0, 60))
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("name", sorted(k for k, phi in WITH_CONJUGATES.items()
@@ -353,11 +389,11 @@ def test_essential_inverse_landmarks():
 
 def _entropy_inverse_oracle(s: float) -> float:
     """The root t of 2 log t + log(-log t) = log s (-t^2 log t = s, below
-    the splice), bisected in log t with 50-digit decimals."""
+    the splice e^{-3/2}), bisected in log t with 50-digit decimals."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         log_s = decimal.Decimal(s).ln()
-        lo, hi = decimal.Decimal(-800), decimal.Decimal(-2)
+        lo, hi = decimal.Decimal(-800), decimal.Decimal("-1.5")
         for _ in range(200):
             mid = (lo + hi) / 2
             if 2 * mid + (-mid).ln() > log_s:
@@ -367,13 +403,15 @@ def _entropy_inverse_oracle(s: float) -> float:
         return float(lo.exp())
 
 
-@pytest.mark.parametrize("s", [5e-324, 1e-315, 1e-310, 1e-300])
+@pytest.mark.parametrize("s", [5e-324, 1e-315, 1e-310, 1e-300, 3.29e-297, 3.56e-276,
+                               1e-100, 1e-20, 0.01, 0.07])
 def test_entropy_inverse_of_tiny_values(s):
     """Below 1 / DBL_MAX (about 5.6e-309) the gauge's weight 1/s overflows;
-    the inverse is still exact there, and raises no warning."""
+    the inverse is still exact there, and raises no warning.  It is as
+    exact on the rest of the branch below the splice value 3 e^{-3} / 2."""
     got = YoungFunction.entropy().essential_inverse(s)
     want = _entropy_inverse_oracle(s)
-    assert abs(got - want) <= 1e-13 * want
+    assert abs(got - want) <= 4.0 * np.spacing(want)
 
 
 @pytest.mark.parametrize("name", sorted(k for k, phi in WITH_CONJUGATES.items()
