@@ -16,6 +16,10 @@ shape.  The first stage can take the field in slabs along axis 0, as a
 d >= 2 modulation norm feeds its STFT: a power stage then sums each slab
 into its rows and drops it, so the samples are never held at once.
 The Luxemburg norm of a field is the one-stage mixed norm over all its axes.
+Every batch of rows is solved in blocks of whole rows, at most _BLOCK
+samples a block, so the solvers' temporaries are the size of a block, not
+of the batch; each row's solve reads only its own row, so the blocks do not
+change a bit of the norms.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import numpy as np
 from .field import Field, make_grid
 from .weights import Weight
 from .young import _TINY, YoungFunction, _gauge_level, closed_power_form
+
+_BLOCK = 2 ** 16  # most samples in a block of Luxemburg rows; larger blocks raise peak memory
 
 
 def _settled(mx: np.ndarray):
@@ -57,9 +63,15 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,
     every other one evaluates Phi through phi._eval_array, so a conjugate
     is exact too (the entropy conjugate in closed form).
     A row with a NaN entry has norm NaN, else one with an inf entry inf.
-    Rows are summed C-ordered, whatever the layout of a.  With overwrite,
-    the gauge may work in a when every row is live (the entropy gauge sorts
-    it in place); else it works in a copy of the live rows."""
+    Rows are summed C-ordered, whatever the layout of a.
+
+    The rows are solved in blocks of whole rows, at most _BLOCK samples a
+    block (a longer row is a block of its own), so every temporary is the
+    size of a block.  Each row's solve, closed form or root finder, reads
+    only that row, so the norms do not depend on the blocking.  With
+    overwrite, the gauge may work in a block of a whose rows are all live
+    (the entropy gauge sorts it in place); any other block is solved on a
+    copy of its live rows."""
     a = np.ascontiguousarray(a, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
@@ -67,22 +79,28 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,
     else:
         squeeze = False
 
-    mx = a.max(axis=1) if a.shape[1] else np.zeros(a.shape[0])
+    out = np.empty(a.shape[0])
+    step = max(1, _BLOCK // max(1, a.shape[1]))
     cp = closed_power_form(phi)
-    if cp is not None:
-        c, p = cp
-        with np.errstate(over="ignore", under="ignore"):
-            out, lost = _power_norms(mx, np.sum(a ** p, axis=1), c, w, p)
-            if lost.size:
-                # a sum out of the normal range is taken again over the row
-                # max, which keeps the power of every entry at most 1
-                m = mx[lost]
-                out[lost] = m * (c * w * np.sum((a[lost] / m[:, None]) ** p, axis=1)) ** (1.0 / p)
-    else:
-        out, live = _settled(mx)
-        if np.any(live):
-            scale, level = _gauge_level(phi, a if overwrite and live.all() else a[live], w)
-            out[live] = scale * np.exp(-level)
+    for i in range(0, a.shape[0], step):
+        b = a[i:i + step]
+        mx = b.max(axis=1) if b.shape[1] else np.zeros(b.shape[0])
+        if cp is not None:
+            c, p = cp
+            with np.errstate(over="ignore", under="ignore"):
+                norms, lost = _power_norms(mx, np.sum(b ** p, axis=1), c, w, p)
+                if lost.size:
+                    # a sum out of the normal range is taken again over the
+                    # row max, which keeps the power of every entry at most 1
+                    m = mx[lost]
+                    sums = np.sum((b[lost] / m[:, None]) ** p, axis=1)
+                    norms[lost] = m * (c * w * sums) ** (1.0 / p)
+        else:
+            norms, live = _settled(mx)
+            if np.any(live):
+                scale, level = _gauge_level(phi, b if overwrite and live.all() else b[live], w)
+                norms[live] = scale * np.exp(-level)
+        out[i:i + step] = norms
     return out[0] if squeeze else out
 
 

@@ -200,11 +200,19 @@ def quantization_change(a: Field, A1, A2) -> Field:
         return Field(a.grid, a.values.copy())
     axes = tuple(range(2 * d))
     mesh = a.grid.with_dual_axes(axes).mesh()
-    mult = np.exp(1j * (t1 - t2) * sum(mesh[i] * mesh[d + i] for i in range(d)))
+    mult = 1j * (t1 - t2) * sum(mesh[i] * mesh[d + i] for i in range(d))
+    np.exp(mult, out=mult)
     # centred forward and inverse transforms, with the inner sign passes
     # dropped: they multiply to 1, as do the constants c and the spacing
-    # scales of a unitary pair
+    # scales of a unitary pair; the transforms and products are taken in
+    # place, and the multiplier is freed before the inverse transform (the
+    # product is vals * mult: with fused multiply-adds the operand order of
+    # a complex product can move its last bit)
     s, _ = _centering_signs(a.grid.shape, axes)
-    vals = np.fft.ifftn(mult * np.fft.fftn(a.values * s))
+    vals = a.values * s
+    np.fft.fftn(vals, out=vals)
+    vals *= mult
+    del mult
+    np.fft.ifftn(vals, out=vals)
     vals *= s
     return Field(a.grid, vals)

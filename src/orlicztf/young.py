@@ -455,7 +455,9 @@ def _gauge_level(phi: YoungFunction, rows: np.ndarray, w):
     passes t2, so u is confined to [log(t1/max), log(t2/max)].  Each step
     evaluates Phi over the rows, and the scale is 1.  The entropy kind
     instead reads sorted prefix sums and is solved in v = u + log m, m the
-    row max, with scale m (_entropy_level, which overwrites the rows).
+    row max, with scale m (_entropy_level, which overwrites the rows: the
+    caller passes rows it may spend, a copy or a block of its own buffer,
+    and the temporaries of either path scale with the rows passed).
     """
     m = rows.max(axis=1)
     w = np.broadcast_to(np.asarray(w, dtype=float), m.shape)

