@@ -20,7 +20,6 @@ from .entropy import (
 from .field import (
     Field,
     Grid,
-    fourier_transform,
     inner_product,
     inverse_fourier_transform,
     l2_norm,
@@ -92,7 +91,6 @@ __all__ = [
     "entropy",
     "estimate_operator_norm",
     "family_grid",
-    "fourier_transform",
     "gaussian_family_scan",
     "inner_product",
     "inverse_fourier_transform",

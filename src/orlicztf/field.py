@@ -3,9 +3,10 @@
 Grids are products of centered axes x_k = -L + k*Delta with Delta = 2L/N and
 N even.  The dual axis carries xi_m = (pi/L)(m - N/2); dualizing twice
 returns the original axis up to rounding, and all grid compatibility checks
-are tolerant to that rounding.  The Fourier transform uses the normalization
-(2*pi)^(-d/2) * integral f(x) exp(-i<x, xi>) dx, realized as an FFT
-centred by sign vectors (N is even) so that it is exactly unitary on the grid.
+are tolerant to that rounding.  The inverse Fourier transform uses the
+normalization (2*pi)^(-d/2) * integral F(xi) exp(i<x, xi>) dxi, realized as
+an inverse FFT centred by sign vectors (N is even) so that it is exactly
+unitary on the grid.
 """
 
 from __future__ import annotations
@@ -167,16 +168,8 @@ def _centered_fft(values: np.ndarray, axes, inverse: bool, scale: float = 1.0) -
     return out
 
 
-def fourier_transform(f: Field, axes=None) -> Field:
-    """Unitary Fourier transform along the selected axes (default all)."""
-    d = f.grid.dimension
-    axes = tuple(range(d)) if axes is None else tuple(axes)
-    scale = math.prod(f.grid.axes[i].spacing / math.sqrt(2.0 * math.pi) for i in axes)
-    vals = _centered_fft(f.values, axes, inverse=False, scale=scale)
-    return Field(f.grid.with_dual_axes(axes), vals)
-
-
 def inverse_fourier_transform(f: Field, axes=None) -> Field:
+    """Unitary inverse Fourier transform along the selected axes (default all)."""
     d = f.grid.dimension
     axes = tuple(range(d)) if axes is None else tuple(axes)
     out_grid = f.grid.with_dual_axes(axes)

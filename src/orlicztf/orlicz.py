@@ -3,13 +3,14 @@
 The Luxemburg norm is inf{lambda > 0 : sum_k w_k Phi(|f_k omega_k| / lambda) <= 1}
 with w_k the quadrature weight.  Power-family functions are answered in
 closed form, taken over the row max where the sum leaves the floating-point
-range.  For everything else the Illinois root finder shared with the
-Young-function layer (young._illinois) solves log G = 0 in -log lambda, where
-G(lambda) is the non-increasing gauge.  The entropy gauge is read from sorted
-prefix sums of each row, solved in v = log(max / lambda), so the tolerance is
-relative to the norm at every scale; every other gauge is evaluated by the
-function's own evaluator: the entropy conjugate by its Lambert-W closed form,
-any other conjugate by its Legendre transform.  Mixed norms iterate stages of
+range.  Every other row is solved here, by the Illinois root finder shared
+with the Young-function layer (young._illinois), on log G = 0 in
+-log lambda, where G(lambda) is the non-increasing gauge.  The entropy gauge
+is read from sorted prefix sums of each row, solved in v = log(max / lambda),
+so the tolerance is relative to the norm at every scale (_entropy_level);
+every other gauge is evaluated by the function's own evaluator
+(_log_gauge_level): the entropy conjugate by its Lambert-W closed form, any
+other conjugate by its Legendre transform.  Mixed norms iterate stages of
 axis groups, innermost first, with the weight entering only at the innermost
 stage, evaluated from the per-axis coordinates into one array of the field's
 shape.  The first stage can take the field in slabs along axis 0, as a
@@ -31,7 +32,8 @@ import numpy as np
 
 from .field import Field, make_grid
 from .weights import Weight
-from .young import _TINY, YoungFunction, _gauge_level, closed_power_form
+from .young import (ENTROPY_INTERCEPT, ENTROPY_SLOPE, ENTROPY_SPLICE, _TINY, YoungFunction,
+                    _illinois, closed_power_form)
 
 _BLOCK = 2 ** 16  # most samples in a block of Luxemburg rows; larger blocks raise peak memory
 
@@ -57,11 +59,13 @@ def _power_norms(mx: np.ndarray, sums: np.ndarray, c: float, w: float, p: float)
 def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,
                      overwrite: bool = False) -> np.ndarray:
     """Row-wise Luxemburg norms of the nonnegative matrix a with scalar
-    quadrature weight w: closed form for the power family, else the
-    Illinois root finder on the log-gauge in log lambda, to a few ulps.
-    The entropy gauge comes from sorted prefix sums (young._entropy_level);
-    every other one evaluates Phi through phi._eval_array, so a conjugate
-    is exact too (the entropy conjugate in closed form).
+    quadrature weight w, for three kinds of row, all solved here: the power
+    family in closed form; the entropy kind by the root finder on sorted
+    prefix sums of the gauge (_entropy_level); every other kind by the root
+    finder on the log-gauge in log lambda (_log_gauge_level), which
+    evaluates Phi through phi._eval_array, so that a conjugate is exact too
+    (the entropy conjugate in closed form).  Both solves stop within a few
+    ulps.
     A row with a NaN entry has norm NaN, else one with an inf entry inf.
     Rows are summed C-ordered, whatever the layout of a.
 
@@ -98,10 +102,83 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,
         else:
             norms, live = _settled(mx)
             if np.any(live):
-                scale, level = _gauge_level(phi, b if overwrite and live.all() else b[live], w)
-                norms[live] = scale * np.exp(-level)
+                rows = b if overwrite and live.all() else b[live]
+                m = mx[live]
+                if phi.kind == "entropy":
+                    norms[live] = m * np.exp(-_entropy_level(rows, m, w))
+                else:
+                    norms[live] = np.exp(-_log_gauge_level(phi, rows, m, w))
         out[i:i + step] = norms
     return out[0] if squeeze else out
+
+
+def _log_gauge_level(phi: YoungFunction, rows: np.ndarray, m: np.ndarray, w: float):
+    """sup{u : w sum_k Phi(rows_ik e^u) <= 1} for each row i with max m_i
+    > 0, so that the Luxemburg norm of row i is e^{-u_i}.
+
+    The log-gauge is solved in u = -log lambda: it rises at least as fast
+    as the quasi-Young order q, since Phi(t)/t^q is nondecreasing, which
+    bounds the first bracket; it is -inf while every entry sits in the zero
+    set [0, t1] and +inf once one passes t2, so u is confined to
+    [log(t1/max), log(t2/max)].  Each step evaluates Phi over the rows."""
+    t1, t2 = phi.zero_point(), phi.infinity_point()
+    with np.errstate(divide="ignore"):
+        u_zero, u_cap = np.log(t1 / m), np.log(t2 / m)
+
+    def log_gauge(u, rows):
+        x = rows * np.exp(u)[:, None]
+        if math.isfinite(t2):
+            # u <= u_cap, so only rounding can carry an entry past t2
+            np.minimum(x, t2, out=x)
+        s = w * phi._eval_array(x).sum(axis=1)
+        # Phi >= 0, so a NaN sum has a NaN term, which counts as +inf
+        s[np.isnan(s)] = np.inf
+        return np.log(s)
+
+    u0 = -np.log(w * rows.sum(axis=1) + m)
+    return _illinois(log_gauge, u0, u_zero, u_cap, phi.quasi_order, rows)
+
+
+def _entropy_level(rows: np.ndarray, m: np.ndarray, w: float) -> np.ndarray:
+    """sup{v : w sum_k Phi(b_ik e^v) <= 1} for the entropy Phi, with
+    b = rows / m written over the rows and sorted ascending in each row, so
+    that the Luxemburg norm of row i is m_i e^{-v_i}.
+
+    With j = #{b_k <= e^{-3/2} e^{-v}} the entries below the splice, the
+    sum is e^{2v} (P_j - v Q_j) + 2 e^{-3/2} e^v S_j - e^{-3} (n - j) / 2,
+    from the prefix sums Q_j of b^2 and P_j of -b^2 log b and the suffix
+    sums S_j of b, each a sum of nonnegative terms.  A small entry has
+    -log b - v >= 3/2, so P_j - v Q_j >= 3/2 Q_j and nothing cancels.
+    The row max is 1, so the root finder's tolerance is relative to the
+    norm at every scale.  The temporaries scale with the rows passed.
+    """
+    b = rows
+    b /= m[:, None]
+    b.sort(axis=1)
+    r, n = b.shape
+    sq, ent, top = np.zeros((3, r, n + 1))
+    np.multiply(b, b, out=sq[:, 1:])
+    np.log(b, out=ent[:, 1:], where=b > 0)
+    ent *= sq
+    np.negative(ent, out=ent)
+    np.cumsum(sq[:, 1:], axis=1, out=sq[:, 1:])
+    np.cumsum(ent[:, 1:], axis=1, out=ent[:, 1:])
+    np.cumsum(b[:, ::-1], axis=1, out=top[:, -2::-1])
+
+    def log_gauge(v, live):
+        # b is read in place, never copied: a row that has left the loop is
+        # compared with 0 and its count dropped
+        x = np.zeros(r)
+        x[live] = ENTROPY_SPLICE * np.exp(-v)
+        j = np.count_nonzero(b <= x[:, None], axis=1)[live]
+        ev = np.exp(v)
+        # fmax turns inf * 0, where the small set holds only zeros, into 0
+        small = np.fmax(ev * ev * (ent[live, j] - v * sq[live, j]), 0.0)
+        return np.log(w * (small + ENTROPY_SLOPE * ev * top[live, j]
+                           - ENTROPY_INTERCEPT * (n - j)))
+
+    v0 = -np.log(w * top[:, 0] + 1.0)
+    return _illinois(log_gauge, v0, -np.inf, np.inf, 1.0, np.arange(r))
 
 
 @dataclass(frozen=True)
@@ -258,10 +335,11 @@ def _ratio_report(phis, combine, r1, r2, w: float, precondition: str, pre_ok: bo
     """The verifiers' report: max |combine(f1, f2)|_{Phi0} / (|f1|_{Phi1} |f2|_{Phi2})
     over the rows f1 of r1 and f2 of r2, and whether it is at most 2."""
     phi0, phi1, phi2 = phis
-    # combined here, its rows are freed once their norms are taken
-    n0 = _luxemburg_batch(np.abs(combine(r1, r2)), w, phi0)
-    n1 = _luxemburg_batch(np.abs(r1), w, phi1)
-    n2 = _luxemburg_batch(np.abs(r2), w, phi2)
+    # each modulus is a temporary of its own, so its blocks are solved in
+    # place, not copied; the combined rows are freed once their norms are taken
+    n0 = _luxemburg_batch(np.abs(combine(r1, r2)), w, phi0, overwrite=True)
+    n1 = _luxemburg_batch(np.abs(r1), w, phi1, overwrite=True)
+    n2 = _luxemburg_batch(np.abs(r2), w, phi2, overwrite=True)
     mr = float(np.max(n0 / (n1 * n2)))
     return {
         "max_ratio": mr,

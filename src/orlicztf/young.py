@@ -41,6 +41,16 @@ one solve, for Psi* at Psi'(t), and no conjugate of any depth nests one
 root finder in another.  A conjugate of a conjugate is never replaced by
 its base: Psi** is evaluated as a Legendre transform, so the biconjugation
 check compares two computations.
+
+The essential inverse Phi^{-&}(s) = sup{t : Phi(t) <= s} and the Legendre
+argmax (Phi')^{-&}(t) = sup{s : Phi'(s) <= t} are one operation, the
+generalized inverse of a nondecreasing function (Rao and Ren, ch. I), and
+one solve of the shared root finder in log t answers both
+(_generalized_inverse): one call per essential inverse, between the
+landmarks s = 0 and s >= sup Phi.  The power family and the entropy kind
+skip it: the entropy inverse is a Lambert-W closed form below the splice
+value 3 e^{-3} / 2 and the tangent line's inverse above it.  Luxemburg
+norms are solved in the orlicz layer, with the same root finder.
 """
 
 from __future__ import annotations
@@ -199,10 +209,6 @@ class YoungFunction:
         """s0 = sup of Phi over [0, t2)."""
         return self._top
 
-    def inf_slope(self) -> float:
-        """Right derivative at 0 (the zero point of the conjugate)."""
-        return self._slope0
-
     def sup_slope(self) -> float:
         """Limiting slope at the right end (the jump point of the conjugate)."""
         return self._slope_end
@@ -326,25 +332,19 @@ class YoungFunction:
         if cp is not None:
             c, p = cp
             return np.power(s / c, 1.0 / p)
-        # the landmarks settle s = 0 and s >= sup Phi; in between Phi^{-&}(s)
-        # is 1 / (Luxemburg norm of the one-point row [1] with weight 1/s)
+        # the landmarks settle s = 0 and s >= sup Phi; in between, the
+        # generalized inverse of Phi
         s0 = self.sup_value()
         out = np.where(s >= s0, self.infinity_point(), np.nan)
         out[s == 0] = 0.0
         solve = (s > 0) & (s < s0)
-        with np.errstate(over="ignore"):
-            w = 1.0 / np.where(solve, s, 1.0)
         if self.kind == "entropy":
-            # the closed form holds up to the splice value Phi(e^{-3/2}) = 3 e^{-3} / 2
-            direct = solve & (s < 3.0 * ENTROPY_INTERCEPT)
+            out[solve] = _entropy_inverse(s[solve])
         else:
-            # below 1 / DBL_MAX the weight 1/s overflows
-            direct = solve & (w == np.inf)
-        gauge = solve & ~direct
-        scale, level = _gauge_level(self, np.ones((np.count_nonzero(gauge), 1)), w[gauge])
-        out[gauge] = np.exp(level) / scale
-        if direct.any():
-            out[direct] = _direct_inverse(self, s[direct])
+            t1, t2 = self.zero_point(), self.infinity_point()
+            out[solve] = _generalized_inverse(
+                self._eval_array, s[solve], math.log(t1) if t1 > 0 else -math.inf,
+                math.log(t2) if math.isfinite(t2) else _LOG_LARGEST, self.quasi_order)
         return out
 
 
@@ -442,110 +442,31 @@ def _illinois(F, x0, x_min, x_max, slope, *data):
     raise RuntimeError(f"root finder did not converge in {_MAX_STEPS} steps")
 
 
-def _gauge_level(phi: YoungFunction, rows: np.ndarray, w):
-    """sup{u : w_i sum_k Phi(rows_ik e^u) <= 1} for each row i, as
-    (scale, level) with u = level - log(scale): the Luxemburg norm of row i
-    is scale_i e^{-level_i}.
+def _generalized_inverse(fn, y, x_min: float, x_max: float, slope: float) -> np.ndarray:
+    """sup{t = e^x : x in [x_min, x_max], fn(t) <= y} for a nondecreasing fn
+    of arrays, elementwise in the array y, and e^x_min where fn(t) > y on the
+    whole range: the one solve behind the essential inverse Phi^{-&}(s) and
+    the Legendre argmax (Phi')^{-&}(t).
 
-    Every row of the nonnegative matrix needs a positive entry; w is a
-    scalar or one weight per row.  The log-gauge is solved in
-    u = -log lambda: it rises at least as fast as the quasi-Young order q,
-    since Phi(t)/t^q is nondecreasing, which bounds the first bracket; it is
-    -inf while every entry sits in the zero set [0, t1] and +inf once one
-    passes t2, so u is confined to [log(t1/max), log(t2/max)].  Each step
-    evaluates Phi over the rows, and the scale is 1.  The entropy kind
-    instead reads sorted prefix sums and is solved in v = u + log m, m the
-    row max, with scale m (_entropy_level, which overwrites the rows: the
-    caller passes rows it may spend, a copy or a block of its own buffer,
-    and the temporaries of either path scale with the rows passed).
-    """
-    m = rows.max(axis=1)
-    w = np.broadcast_to(np.asarray(w, dtype=float), m.shape)
-    if phi.kind == "entropy":
-        return m, _entropy_level(rows, m, w)
-    t1, t2 = phi.zero_point(), phi.infinity_point()
-    with np.errstate(divide="ignore"):
-        u_zero, u_cap = np.log(t1 / m), np.log(t2 / m)
+    The shared root finder runs on log fn(e^x) - log y from x = log y; the
+    difference of logs can round to 0 either way, so its sign is taken from
+    fn(t) > y.  `slope` is a rate at which log fn(e^x) is known to rise,
+    or 0 for none (see _illinois)."""
+    y = np.asarray(y, dtype=float)
+    ys = y.reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_y = np.log(ys)
+    x0 = np.where(np.isfinite(log_y), log_y, 0.0)
 
-    def log_gauge(u, rows, w):
-        x = rows * np.exp(u)[:, None]
-        if math.isfinite(t2):
-            # u <= u_cap, so only rounding can carry an entry past t2
-            np.minimum(x, t2, out=x)
-        s = w * phi._eval_array(x).sum(axis=1)
-        # Phi >= 0, so a NaN sum has a NaN term, which counts as +inf
-        s[np.isnan(s)] = np.inf
-        return np.log(s)
+    def gap(x, log_y, y):
+        v = fn(np.exp(x))
+        g = np.log(v) - log_y
+        return np.where(v > y, np.maximum(g, _TINY), np.minimum(g, 0.0))
 
-    u0 = -np.log(w * rows.sum(axis=1) + m)
-    return 1.0, _illinois(log_gauge, u0, u_zero, u_cap, phi.quasi_order, rows, w)
+    return np.exp(_illinois(gap, x0, x_min, x_max, slope, log_y, ys)).reshape(y.shape)
 
 
-def _entropy_level(rows: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sup{v : w_i sum_k Phi(b_ik e^v) <= 1} for the entropy Phi, with
-    b = rows / m written over the rows and sorted ascending in each row.
-
-    With j = #{b_k <= e^{-3/2} e^{-v}} the entries below the splice, the
-    sum is e^{2v} (P_j - v Q_j) + 2 e^{-3/2} e^v S_j - e^{-3} (n - j) / 2,
-    from the prefix sums Q_j of b^2 and P_j of -b^2 log b and the suffix
-    sums S_j of b, each a sum of nonnegative terms.  A small entry has
-    -log b - v >= 3/2, so P_j - v Q_j >= 3/2 Q_j and nothing cancels.
-    The row max is 1, so the root finder's tolerance is relative to the
-    norm at every scale.
-    """
-    b = rows
-    b /= m[:, None]
-    b.sort(axis=1)
-    r, n = b.shape
-    sq, ent, top = np.zeros((3, r, n + 1))
-    np.multiply(b, b, out=sq[:, 1:])
-    np.log(b, out=ent[:, 1:], where=b > 0)
-    ent *= sq
-    np.negative(ent, out=ent)
-    np.cumsum(sq[:, 1:], axis=1, out=sq[:, 1:])
-    np.cumsum(ent[:, 1:], axis=1, out=ent[:, 1:])
-    np.cumsum(b[:, ::-1], axis=1, out=top[:, -2::-1])
-
-    def log_gauge(v, live, w):
-        # b is read in place, never copied: a row that has left the loop is
-        # compared with 0 and its count dropped
-        x = np.zeros(r)
-        x[live] = ENTROPY_SPLICE * np.exp(-v)
-        j = np.count_nonzero(b <= x[:, None], axis=1)[live]
-        ev = np.exp(v)
-        # fmax turns inf * 0, where the small set holds only zeros, into 0
-        small = np.fmax(ev * ev * (ent[live, j] - v * sq[live, j]), 0.0)
-        return np.log(w * (small + ENTROPY_SLOPE * ev * top[live, j]
-                           - ENTROPY_INTERCEPT * (n - j)))
-
-    v0 = -np.log(w * top[:, 0] + 1.0)
-    return _illinois(log_gauge, v0, -np.inf, np.inf, 1.0, np.arange(r), w)
-
-
-def _direct_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
-    """Phi^{-&}(s) where the gauge does not serve: for 0 < s < 1 / DBL_MAX,
-    where its weight 1/s overflows, the root of log Phi(t) = log s in
-    log t.  For the entropy Phi, which underflows there and whose gauge
-    stops a few ulps of |log t| off (1.5e-13 relative at s = 1e-297), the
-    whole branch below the splice value Phi(e^{-3/2}) is solved in closed
-    form instead: t^2 log(1/t) = s with v = -2 log t is v - log v =
-    -log(2 s), in y = v - 1 the equation of _log1p_root with
-    c = log(2 s) + 1, and t = sqrt(2 s) / sqrt(v)."""
-    if phi.kind == "entropy":
-        v = 1.0 + _log1p_root(np.log(2.0 * s) + 1.0)
-        return np.sqrt(2.0 * s) / np.sqrt(v)
-    log_s = np.log(s)
-    t1, t2 = phi.zero_point(), phi.infinity_point()
-    u_min = math.log(t1) if t1 > 0 else -math.inf
-    u_max = math.log(t2) if math.isfinite(t2) else _LOG_LARGEST
-
-    def gap(u, log_s):
-        return np.log(phi._eval_array(np.exp(u))) - log_s
-
-    return np.exp(_illinois(gap, log_s, u_min, u_max, phi.quasi_order, log_s))
-
-
-# -- conjugate evaluation ----------------------------------------------------
+# -- closed forms and conjugate evaluation -------------------------------------
 
 
 def _log1p_root(c: np.ndarray) -> np.ndarray:
@@ -564,6 +485,20 @@ def _log1p_root(c: np.ndarray) -> np.ndarray:
             g = np.log1p(y) - y - c
             y = y + 2.0 * g * y * (1.0 + y) / (2.0 * y * y + g)
     return y
+
+
+def _entropy_inverse(s: np.ndarray) -> np.ndarray:
+    """Phi^{-&}(s) for the entropy Phi and 0 < s < inf, in closed form.
+    Below the splice value Phi(e^{-3/2}) = 3 e^{-3} / 2, t^2 log(1/t) = s
+    with v = -2 log t is v - log v = -log(2 s), in y = v - 1 the equation of
+    _log1p_root with c = log(2 s) + 1, and t = sqrt(2 s) / sqrt(v); above
+    it t is on the tangent line, (s + e^{-3} / 2) / (2 e^{-3/2})."""
+    small = s < 3.0 * ENTROPY_INTERCEPT
+    sm = s[small]
+    v = 1.0 + _log1p_root(np.log(2.0 * sm) + 1.0)
+    out = (s + ENTROPY_INTERCEPT) / ENTROPY_SLOPE
+    out[small] = np.sqrt(2.0 * sm) / np.sqrt(v)
+    return out
 
 
 def _entropy_legendre(s: np.ndarray):
@@ -590,40 +525,24 @@ def _log_argmax_cap(base: YoungFunction) -> float:
 
 def _legendre_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
     """argmax_s (s t - Phi(s)) = sup{s : Phi'(s) <= t} for any base, over s
-    from about 1e-321 up to the last point where Phi is finite.
-
-    The shared root finder runs on log Phi'(e^v) - log t, nondecreasing in
-    v = log s.  Phi' may be flat, jump or vanish (zero sets, conjugates of
-    tables), so there is no slope bound; a zero of Phi' gives -inf and steps
-    by bisection.
-    """
-    t = np.asarray(t, dtype=float)
-    v_max = _log_argmax_cap(base)
-    ts = t.reshape(-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_t = np.log(ts)
-    v0 = np.where(np.isfinite(log_t), log_t, 0.0)
-
-    def slope_gap(v, log_t, t):
-        d = base._deriv_array(np.exp(v))
-        gap = np.log(d) - log_t
-        # the difference of logs can round to 0 either way; the sign is d > t
-        return np.where(d > t, np.maximum(gap, _TINY), np.minimum(gap, 0.0))
-
-    v = _illinois(slope_gap, v0, _LOG_SMALLEST, v_max, 0.0, log_t, ts)
-    return np.exp(v).reshape(t.shape)
+    from about 1e-321 up to the last point where Phi is finite: the
+    generalized inverse of Phi'.  Phi' may be flat, jump or vanish (zero
+    sets, conjugates of tables), so there is no slope bound; a zero of Phi'
+    gives -inf and steps by bisection."""
+    return _generalized_inverse(base._deriv_array, t, _LOG_SMALLEST, _log_argmax_cap(base), 0.0)
 
 
 def _conjugate_argmax(base: YoungFunction, t: np.ndarray) -> np.ndarray:
-    """Phi*'(t) = argmax_s (s t - Phi(s)): a for cap(a), whose conjugate is
-    a t; the entropy closed form (every s once t reaches Phi'(inf)); for a
-    table, whose Phi' is a step function, the knot that starts the first
-    piece steeper than t, read off directly (where t equals a slope the
-    generic solve would return the near knot, not the far one); for a
-    conjugate Phi = Psi*, Psi'(t), since sup{s : (Psi*)'(s) <= t} = Psi'(t)
-    for right derivatives (Rao and Ren, ch. I), clamped to the range the
-    generic solve searches, [e^-740, the largest s below t2*], so that no
-    conjugate of any depth nests one root finder in another; else
+    """Phi*'(t) = argmax_s (s t - Phi(s)) = (Phi')^{-&}(t), read off where a
+    closed form exists: a for cap(a), whose conjugate is a t; the entropy
+    closed form (every s once t reaches Phi'(inf)); for a table, whose Phi'
+    is a step function, the knot that starts the first piece steeper than
+    t (where t equals a slope the generic solve would return the near knot,
+    not the far one); for a conjugate Phi = Psi*, Psi'(t), since
+    sup{s : (Psi*)'(s) <= t} = Psi'(t) for right derivatives (Rao and Ren,
+    ch. I), clamped to the range the generic solve searches, [e^-740, the
+    largest s below t2*], so that no conjugate of any depth nests one root
+    finder in another.  Else the generalized inverse of Phi',
     `_legendre_argmax`."""
     t = np.asarray(t, dtype=float)
     if base.kind == "conjugate":

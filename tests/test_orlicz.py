@@ -202,7 +202,7 @@ def test_entropy_batch_gauge_evaluations(monkeypatch):
     takes at most 30 root-finder steps at every scale and evaluates Phi
     over no row."""
     steps, evals = [], []
-    solve, evaluate = young._illinois, YoungFunction._eval_array
+    solve, evaluate = orlicz._illinois, YoungFunction._eval_array
 
     def counted_solve(F, *args):
         def counted_F(x, *data):
@@ -214,7 +214,7 @@ def test_entropy_batch_gauge_evaluations(monkeypatch):
         evals.append(t.shape)
         return evaluate(self, t)
 
-    monkeypatch.setattr(young, "_illinois", counted_solve)
+    monkeypatch.setattr(orlicz, "_illinois", counted_solve)
     monkeypatch.setattr(YoungFunction, "_eval_array", counted_eval)
     rows = _noise_rows((400, 256), 5)
     for scale in (1e-3, 1.0, 1e3):
@@ -237,10 +237,9 @@ def _entropy_phi(t):
 
 
 def _entropy_norm_by_bisection(rows, w):
-    """Row-wise entropy Luxemburg norms, w a scalar or one weight per row:
-    a doubling bracket [lam/2, lam], then bisection until the midpoint is
-    one of the ends."""
-    w = np.broadcast_to(np.asarray(w, dtype=float), rows.shape[:1])[:, None]
+    """Row-wise entropy Luxemburg norms at the scalar weight w: a doubling
+    bracket [lam/2, lam], then bisection until the midpoint is one of the
+    ends."""
 
     def le_one(lam):
         return np.sum(w * _entropy_phi(rows / lam[:, None]), axis=1) <= 1.0
@@ -298,12 +297,13 @@ def test_entropy_norm_matches_bisection_oracle(case):
 
 
 def test_entropy_one_entry_rows_with_weights_match_bisection_oracle():
-    """One-entry rows [1] with one weight 1/s per row, as the essential
-    inverse solves them: Phi^{-&}(s) is 1 / (their norm)."""
-    s = np.geomspace(1e-12, 1e12, 97)
-    got = YoungFunction.entropy().essential_inverse(s)
-    want = 1.0 / _entropy_norm_by_bisection(np.ones((s.size, 1)), 1.0 / s)
-    assert np.max(np.abs(got - want) / want) <= 1e-13
+    """A one-entry row [1] at each of 97 weights from 1e-12 to 1e12, below
+    and above the splice."""
+    ent, row = YoungFunction.entropy(), np.ones((1, 1))
+    for w in 1.0 / np.geomspace(1e-12, 1e12, 97):
+        got = orlicz._luxemburg_batch(row, w, ent)
+        want = _entropy_norm_by_bisection(row, w)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 @pytest.mark.parametrize("w", [1e-100, 1e-200, 1e-300])

@@ -34,3 +34,36 @@ def test_every_module_import_is_used():
 def test_every_exported_name_resolves():
     missing = [name for name in orlicztf.__all__ if not hasattr(orlicztf, name)]
     assert not missing, missing
+
+
+# the layers of the package docstring, from the ground up
+LAYERS = ("young", "weights", "field", "orlicz", "tfa", "modspace", "psido", "entropy",
+          "verify", "cli")
+
+
+def _package_imports(path: pathlib.Path) -> set:
+    """The package modules a module imports, at any depth of its body."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("orlicztf"):
+            parts = node.module.split(".")
+            found.update([parts[1]] if len(parts) > 1 else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("orlicztf."))
+    return found
+
+
+def test_each_layer_imports_only_the_layers_below_it():
+    assert {p.stem for p in SRC.glob("*.py")} == set(LAYERS) | {"__init__"}
+    upward = [f"{name} imports {dep}"
+              for i, name in enumerate(LAYERS)
+              for dep in sorted(_package_imports(SRC / f"{name}.py"))
+              if dep not in LAYERS[:i]]
+    assert not upward, upward
+    assert not _package_imports(SRC / "young.py")

@@ -228,7 +228,7 @@ LANDMARKS["conjugate:conjugate:entropy"] = (
 
 
 def _landmarks(phi):
-    return (phi.zero_point(), phi.infinity_point(), phi.inf_slope(), phi.sup_slope(),
+    return (phi.zero_point(), phi.infinity_point(), phi.derivative(0.0), phi.sup_slope(),
             phi.sup_value())
 
 
@@ -330,7 +330,7 @@ def test_argmax_matches_bisection(name):
 
 @pytest.mark.parametrize("name", sorted(
     k for k, phi in ARGMAX_BASES.items() if phi.kind == "conjugate"
-    and (phi.params["base"].inf_slope() == 0 or math.isfinite(phi.sup_slope()))))
+    and (phi.params["base"].derivative(0.0) == 0 or math.isfinite(phi.sup_slope()))))
 def test_argmax_of_a_conjugate_at_the_clamped_ends(name):
     """The argmax of Psi* at t is Psi'(t), clamped to the range the generic
     solve searches: its low end e^-740 where Psi'(t) = 0, and its high end
@@ -406,12 +406,40 @@ def _entropy_inverse_oracle(s: float) -> float:
 @pytest.mark.parametrize("s", [5e-324, 1e-315, 1e-310, 1e-300, 3.29e-297, 3.56e-276,
                                1e-100, 1e-20, 0.01, 0.07])
 def test_entropy_inverse_of_tiny_values(s):
-    """Below 1 / DBL_MAX (about 5.6e-309) the gauge's weight 1/s overflows;
-    the inverse is still exact there, and raises no warning.  It is as
-    exact on the rest of the branch below the splice value 3 e^{-3} / 2."""
+    """The inverse is exact below 1 / DBL_MAX (about 5.6e-309), and raises
+    no warning there.  It is as exact on the rest of the branch below the
+    splice value 3 e^{-3} / 2."""
     got = YoungFunction.entropy().essential_inverse(s)
     want = _entropy_inverse_oracle(s)
     assert abs(got - want) <= 4.0 * np.spacing(want)
+
+
+@pytest.mark.parametrize("s", [0.0747, 1.0, 1e3, 1e300])
+def test_entropy_inverse_on_the_tangent_line(s):
+    """Above the splice value 3 e^{-3} / 2 the inverse is the tangent line's,
+    (s + e^{-3} / 2) / (2 e^{-3/2}), to an ulp."""
+    got = YoungFunction.entropy().essential_inverse(s)
+    want = (s + 0.5 * math.exp(-3.0)) / (2.0 * math.exp(-1.5))
+    assert abs(got - want) <= np.spacing(want)
+
+
+@pytest.mark.parametrize("name, solves", [
+    ("entropy", 0), ("tan_example", 1), ("log_example", 1),
+    ("table_finite_tail", 1), ("table_infinite_tail", 1), ("conjugate:cap2", 1)])
+def test_essential_inverse_runs_at_most_one_root_finder(monkeypatch, name, solves):
+    """One generalized inverse answers every s between the landmarks, on
+    both sides of 1 / DBL_MAX; the entropy inverse is closed form."""
+    phi = {**WITH_CONJUGATES, "conjugate:cap2": YoungFunction.cap(2.0).conjugate()}[name]
+    calls = []
+    solve = young._illinois
+
+    def counted_solve(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(young, "_illinois", counted_solve)
+    phi.essential_inverse(np.array([1e-310, 1.0]))
+    assert len(calls) == solves
 
 
 @pytest.mark.parametrize("name", sorted(k for k, phi in WITH_CONJUGATES.items()
