@@ -22,12 +22,21 @@ row of `entropy lieb` (the entropy is at least the bound) and the records
 of `verify`.
 Exit codes: 0 all rows passed, 1 a numerical check failed, 2 usage error,
 which includes a request too large to allocate.
+
+main(argv) may be called repeatedly in one process.  It builds its parser
+on the first call (not at import) and reuses it, so a repeated in-process
+request pays only for its own parse and work.  Reuse is safe: parse_args
+returns a fresh Namespace every call, no option has a mutable default, the
+handlers read the layer functions through this module's globals when they
+run, and argparse prints usage and help to the sys.stdout/sys.stderr
+current at the time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -438,7 +447,10 @@ def _at_least_one(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later
+    one; nothing in it changes while a request is parsed."""
     top = argparse.ArgumentParser(
         prog="orlicztf",
         description="Numerical laboratory for Orlicz-normed time-frequency "

@@ -3,9 +3,10 @@
 The Luxemburg norm is inf{lambda > 0 : sum_k w_k Phi(|f_k omega_k| / lambda) <= 1}
 with w_k the quadrature weight.  Power-family functions are answered in
 closed form, taken over the row max where the sum leaves the floating-point
-range.  Every other row is solved here, by the Illinois root finder shared
-with the Young-function layer (young._illinois), on log G = 0 in
--log lambda, where G(lambda) is the non-increasing gauge.  The entropy gauge
+range or where its p-th root would lose digits to the rounding of 1/p.
+Every other row is solved here, by the Illinois root finder shared with the
+Young-function layer (young._illinois), on log G = 0 in -log lambda, where
+G(lambda) is the non-increasing gauge.  The entropy gauge
 is read from sorted prefix sums of each row, solved in v = log(max / lambda),
 so the tolerance is relative to the norm at every scale (_entropy_level);
 every other gauge is evaluated by the function's own evaluator
@@ -25,6 +26,7 @@ change a bit of the norms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -45,15 +47,38 @@ def _settled(mx: np.ndarray):
     return np.where(np.isfinite(mx), 0.0, mx), (mx > 0) & (mx < np.inf)
 
 
+@functools.cache
+def _root_range(p: float) -> tuple:
+    """(lo, hi): the s > 0 whose root s ** (1/p) keeps its digits.  The
+    rounding error e of 1/p moves the root by |log s| e relative, which
+    stays within an ulp while |log s| <= eps / e: everywhere when 1/p is
+    exact (p a power of 2) or not finite."""
+    r = 1.0 / p
+    if r == math.inf:
+        return 0.0, math.inf
+    (a, b), (c, d) = p.as_integer_ratio(), r.as_integer_ratio()
+    e = abs(b * d - a * c) / (a * d)  # |b/a - c/d|, rounded once
+    reach = float(np.finfo(float).eps) / e if e else math.inf
+    return math.exp(-reach), math.exp(reach) if reach < 709.0 else math.inf
+
+
 def _power_norms(mx: np.ndarray, sums: np.ndarray, c: float, w: float, p: float):
     """(out, lost): the closed-form norms (c w sum a^p)^(1/p) of rows with
     maxima mx and power sums sums, and the live rows whose c w sum left the
-    normal range, which the closed form cannot answer.  Over- and underflow
+    normal range, which the closed form cannot answer.  A sum whose root
+    would lose digits (_root_range) is taken over its row max m instead,
+    m (c w sum a^p / m^p)^(1/p), from the same sum.  Over- and underflow
     are the caller's to silence."""
     out, live = _settled(mx)
     total = c * w * sums[live]
-    out[live] = total ** (1.0 / p)
-    return out, np.flatnonzero(live)[~((total >= _TINY) & (total < np.inf))]
+    norms = total ** (1.0 / p)
+    normal = (total >= _TINY) & (total < np.inf)
+    lo, hi = _root_range(p)
+    far = normal & ((total < lo) | (total > hi))
+    m = mx[live][far]
+    norms[far] = m * (total[far] / m ** p) ** (1.0 / p)
+    out[live] = norms
+    return out, np.flatnonzero(live)[~normal]
 
 
 def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,

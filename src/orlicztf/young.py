@@ -331,7 +331,9 @@ class YoungFunction:
         cp = closed_power_form(self)
         if cp is not None:
             c, p = cp
-            return np.power(s / c, 1.0 / p)
+            # past the largest double the closed form is inf, as it should be
+            with np.errstate(over="ignore"):
+                return np.power(s / c, 1.0 / p)
         # the landmarks settle s = 0 and s >= sup Phi; in between, the
         # generalized inverse of Phi
         s0 = self.sup_value()

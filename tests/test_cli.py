@@ -3,6 +3,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -559,3 +563,126 @@ def test_verify_young_conv(capsys):
     assert code == 0
     assert rep["results"] == [{"name": want["name"], "value": want["value"],
                                "tolerance": want["tolerance"], "pass": want["passed"]}]
+
+
+# -- one parser per process ------------------------------------------------------
+
+_TIMING = re.compile(r'"timing_ms": [^\n]*')
+
+
+def _call(argv) -> tuple:
+    """(exit code, stdout, stderr) of one cli.main call, each stream
+    captured by a buffer of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parsers(parser):
+    """The parser and every subcommand parser under it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_the_parser_is_not_built_at_import():
+    """Importing cli builds no parser: processes that import it but never
+    call main (the battery's, for one) pay nothing for it."""
+    code = ("from orlicztf import cli; import sys; "
+            "sys.exit(cli.build_parser.cache_info().currsize)")
+    assert subprocess.run([sys.executable, "-c", code], env=dict(
+        os.environ, PYTHONPATH=os.pathsep.join(sys.path))).returncode == 0
+
+
+def test_twenty_calls_build_the_argument_tree_once(monkeypatch):
+    """cli.main builds its parser on the first call and reuses it: twenty
+    calls, six of them usage errors that exit 2, construct exactly the
+    ArgumentParsers of one build_parser() run."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argvs = [["young", "evaluate", "--kind", f"power:{p}", "--at", "2"] for p in range(1, 8)]
+    argvs += [["young", "inverse", "--kind", "entropy", "--at", str(s)] for s in range(1, 8)]
+    argvs += [["young", "evaluate", "--kind", "nosuch"], ["bogus"], ["norm"],
+              ["young", "evaluate", "--kind", "power:2", "--at", "-1"],
+              ["verify", "moyal", "--tol", "nan"], ["psido", "kernel"]]
+    codes = [_call(argv)[0] for argv in argvs]
+    assert len(argvs) == 20 and codes == [0] * 14 + [2] * 6
+    once = len(built)
+    cli.build_parser.__wrapped__()
+    assert once > 0 and len(built) == 2 * once
+
+
+def test_a_reused_parser_answers_in_any_order(tmp_path):
+    """A success, an exit-1 failure, an exit-2 usage error, the top-level
+    and a subcommand --help and an --out write, run twice in two orders
+    (the first run builds the parser, every later call reuses it): each
+    call gives the same exit code, stdout (timing_ms aside), stderr and
+    file, whatever ran before it."""
+    report = str(tmp_path / "report.csv")
+    calls = {
+        "ok": (["young", "evaluate", "--kind", "power:2", "--at", "3"], 0),
+        "failed": (["young", "conjugate", "--kind", "log_example", "--at", "0.01",
+                    "--tol", "0"], 1),
+        "usage": (["norm", "luxemburg", "--input", "bogus:1"], 2),
+        "help": (["--help"], 0),
+        "sub_help": (["norm", "--help"], 0),
+        "out": (["young", "classify", "--kind", "entropy", "--format", "csv",
+                 "--out", report], 0),
+    }
+
+    def run_in(order):
+        got = {}
+        for name in order:
+            code, out, err = _call(calls[name][0])
+            got[name] = (code, _TIMING.sub("", out), err)
+            if name == "out":
+                with open(report) as fh:
+                    got[name] += (fh.read(),)
+                os.remove(report)
+        return got
+
+    cli.build_parser.cache_clear()
+    first = run_in(list(calls))
+    second = run_in(list(reversed(calls)))
+    assert cli.build_parser.cache_info().misses == 1
+    assert first == second
+    assert {name: got[0] for name, got in first.items()} == {
+        name: code for name, (_, code) in calls.items()}
+    assert first["usage"][2].startswith("usage: orlicztf") and "bogus" in first["usage"][2]
+    assert first["help"][1].startswith("usage: orlicztf") and first["help"][2] == ""
+    assert first["sub_help"][1].startswith("usage: orlicztf norm")
+    assert first["out"][3].startswith("name,value,tolerance,pass")
+
+
+def test_no_option_has_a_mutable_default():
+    """A default shared by every parse is never mutated: each is None, a
+    string, a number or a handler."""
+    for parser in _parsers(cli.build_parser()):
+        for action in parser._actions:
+            assert action.default is None or isinstance(action.default, (str, int, float)), \
+                action.dest
+        assert all(callable(v) for v in parser._defaults.values())
+
+
+def test_a_reused_parser_reaches_patched_layer_functions(monkeypatch):
+    """The handlers read the layer functions through the module's globals
+    when they run, so a function patched after the parser was built (as the
+    benchmark's tracer does) is the one called."""
+    argv = ["norm", "luxemburg", "--input", "gaussian:1", "--N", "32", "--L", "6"]
+    assert _call(argv)[0] == 0
+    monkeypatch.setattr(cli, "luxemburg_norm", lambda f, phi, weight: 7.0)
+    code, out, _ = _call(argv)
+    assert code == 0 and json.loads(out)["results"][0]["value"] == 7.0

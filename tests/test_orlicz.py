@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -462,6 +463,34 @@ def test_power_norm_of_extreme_fields(p):
     m = big.max()
     want = m * orlicz._luxemburg_batch(big / m, grid.weight, phi)
     assert abs(got[1] - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("c, p, want", [(1e200, 1.5, 4e200), (1e-200, 1.5, 4e-200),
+                                         (1e50, 3.0, 2e50), (1e-50, 3.0, 2e-50)])
+def test_power_norm_keeps_its_digits_far_from_one(c, p, want):
+    """(c w sum a^p)^(1/p) loses |log total| times the rounding error of 1/p;
+    the norm of a constant field of c on make_grid(16, 4.0), c 8^(1/p), is
+    taken over the row max instead and lands within 2 ulps (the closed form
+    alone was 151 ulps off for 1e200 under power(1.5))."""
+    grid = o.make_grid(16, 4.0)
+    got = o.luxemburg_norm(o.Field(grid, np.full(grid.shape, c)), YoungFunction.power(p))
+    assert abs(got - want) <= 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 2.0, 1e-310])
+def test_power_norms_near_one_keep_the_closed_form(p):
+    """Rows whose power sum is near 1 keep the closed form's bits, and so
+    does every row where 1/p is exact (p = 2) or not finite (p = 1e-310)."""
+    rows = _noise_rows((64, 32), 17) * np.geomspace(1e-30, 1e30, 64)[:, None]
+    w = 0.25
+    got = orlicz._luxemburg_batch(rows, w, YoungFunction.power(p))
+    total = w * np.sum(rows ** p, axis=1)
+    closed = total ** (1.0 / p)
+    if p in (2.0, 1e-310):
+        assert np.array_equal(got, closed)
+    else:
+        near = np.abs(np.log(total)) <= 1.0
+        assert near.any() and np.array_equal(got[near], closed[near])
 
 
 def test_root_finder_raises_at_its_cap(monkeypatch):

@@ -454,6 +454,17 @@ def test_essential_inverse_of_tiny_values_is_finite_and_monotone(name):
     assert np.all(np.diff(got) >= 0.0)
 
 
+@pytest.mark.parametrize("phi", [YoungFunction.power(0.5), YoungFunction.power_scaled(0.5),
+                                 YoungFunction.power(1.0 / 3.0)])
+def test_power_inverse_past_the_largest_double_is_inf(phi):
+    """The power kind's closed-form inverse (s / c)^(1/p) with p < 1
+    overflows for large s: it answers inf there, without a warning (the
+    test configuration turns one into an error), like every other kind."""
+    got = phi.essential_inverse(np.array([1e300, 4.0]))
+    assert got[0] == math.inf and math.isfinite(got[1])
+    assert phi.essential_inverse(1e300) == math.inf
+
+
 def test_entropy_conjugate_closed_form_matches_the_generic_path():
     """Where Phi* is a normal float, the Lambert-W closed form of the entropy
     conjugate agrees with the generic Legendre transform to 1e-13, from
