@@ -21,7 +21,9 @@ tolerance passes.  Two kinds of row keep a pass of their own: the bound
 row of `entropy lieb` (the entropy is at least the bound) and the records
 of `verify`.
 Exit codes: 0 all rows passed, 1 a numerical check failed, 2 usage error,
-which includes a request too large to allocate.
+which includes a request too large to allocate, or a report that could
+not be written because the reader had closed stdout (the run then ends
+quietly, with no traceback).
 
 main(argv) may be called repeatedly in one process.  It builds its parser
 on the first call (not at import) and reuses it, so a repeated in-process
@@ -39,6 +41,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -555,7 +558,14 @@ def main(argv=None) -> int:
         # and so is a request too large to allocate (a bare MemoryError has
         # no message)
         parser.error(str(exc) or "not enough memory for this request")
-    print(json.dumps(_jsonable(report), indent=2))
+    try:
+        print(json.dumps(_jsonable(report), indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at the null device, so that the
+        # flush at shutdown cannot raise again, and exit as for an --out path
+        # that cannot be opened
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0 if all(r["pass"] for r in rows) else 1
 
 

@@ -4,19 +4,21 @@ The Luxemburg norm is inf{lambda > 0 : sum_k w_k Phi(|f_k omega_k| / lambda) <= 
 with w_k the quadrature weight.  Power-family functions are answered in
 closed form, taken over the row max where the sum leaves the floating-point
 range or where its p-th root would lose digits to the rounding of 1/p.
-Every other row is solved here, by the Illinois root finder shared with the
-Young-function layer (young._illinois), on log G = 0 in -log lambda, where
-G(lambda) is the non-increasing gauge.  The entropy gauge
-is read from sorted prefix sums of each row, solved in v = log(max / lambda),
-so the tolerance is relative to the norm at every scale (_entropy_level);
-every other gauge is evaluated by the function's own evaluator
-(_log_gauge_level): the entropy conjugate by its Lambert-W closed form, any
-other conjugate by its Legendre transform.  Mixed norms iterate stages of
-axis groups, innermost first, with the weight entering only at the innermost
-stage, evaluated from the per-axis coordinates into one array of the field's
-shape.  The first stage can take the field in slabs along axis 0, as a
-d >= 2 modulation norm feeds its STFT: a power stage then sums each slab
-into its rows and drops it, so the samples are never held at once.
+Every other row is solved here by one driver (_gauge_level): the row is
+divided by its max, and the Illinois root finder shared with the
+Young-function layer (young._illinois) solves log G = 0 in
+v = log(max / lambda), where G(lambda) is the non-increasing gauge, so the
+tolerance is relative to the norm at every scale.  Only the evaluator of
+the log-gauge depends on the kind: the entropy gauge is read from sorted
+prefix sums of each row (_entropy_gauge); every other gauge is evaluated by
+the function's own evaluator (_phi_gauge): the entropy conjugate by its
+Lambert-W closed form, any other conjugate by its Legendre transform.
+Mixed norms iterate stages of axis groups, innermost first, with the weight
+entering only at the innermost stage, evaluated from the per-axis
+coordinates into one array of the field's shape.  The first stage can take
+the field in slabs along axis 0, as a d >= 2 modulation norm feeds its
+STFT: a power stage then sums each slab into its rows and drops it, so the
+samples are never held at once.
 The Luxemburg norm of a field is the one-stage mixed norm over all its axes.
 Every batch of rows is solved in blocks of whole rows, at most _BLOCK
 samples a block, so the solvers' temporaries are the size of a block, not
@@ -84,13 +86,12 @@ def _power_norms(mx: np.ndarray, sums: np.ndarray, c: float, w: float, p: float)
 def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,
                      overwrite: bool = False) -> np.ndarray:
     """Row-wise Luxemburg norms of the nonnegative matrix a with scalar
-    quadrature weight w, for three kinds of row, all solved here: the power
-    family in closed form; the entropy kind by the root finder on sorted
-    prefix sums of the gauge (_entropy_level); every other kind by the root
-    finder on the log-gauge in log lambda (_log_gauge_level), which
-    evaluates Phi through phi._eval_array, so that a conjugate is exact too
-    (the entropy conjugate in closed form).  Both solves stop within a few
-    ulps.
+    quadrature weight w: the power family in closed form, every other kind
+    by one root finder on the log-gauge of the rows scaled to max 1
+    (_gauge_level), which stops within a few ulps of the norm at every
+    scale.  The gauge is read from sorted prefix sums for the entropy kind,
+    and evaluates Phi through phi._eval_array for every other kind, so that
+    a conjugate is exact too (the entropy conjugate in closed form).
     A row with a NaN entry has norm NaN, else one with an inf entry inf.
     Rows are summed C-ordered, whatever the layout of a.
 
@@ -99,8 +100,8 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,
     size of a block.  Each row's solve, closed form or root finder, reads
     only that row, so the norms do not depend on the blocking.  With
     overwrite, the gauge may work in a block of a whose rows are all live
-    (the entropy gauge sorts it in place); any other block is solved on a
-    copy of its live rows."""
+    (it scales the rows in place, and the entropy gauge sorts them); any
+    other block is solved on a copy of its live rows."""
     a = np.ascontiguousarray(a, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
@@ -128,57 +129,62 @@ def _luxemburg_batch(a: np.ndarray, w: float, phi: YoungFunction, *,
             norms, live = _settled(mx)
             if np.any(live):
                 rows = b if overwrite and live.all() else b[live]
-                m = mx[live]
-                if phi.kind == "entropy":
-                    norms[live] = m * np.exp(-_entropy_level(rows, m, w))
-                else:
-                    norms[live] = np.exp(-_log_gauge_level(phi, rows, m, w))
+                norms[live] = _gauge_level(phi, rows, mx[live], w)
         out[i:i + step] = norms
     return out[0] if squeeze else out
 
 
-def _log_gauge_level(phi: YoungFunction, rows: np.ndarray, m: np.ndarray, w: float):
-    """sup{u : w sum_k Phi(rows_ik e^u) <= 1} for each row i with max m_i
-    > 0, so that the Luxemburg norm of row i is e^{-u_i}.
+def _gauge_level(phi: YoungFunction, rows: np.ndarray, m: np.ndarray, w: float):
+    """The Luxemburg norms m_i e^{-v_i} of the rows, with maxima m_i > 0,
+    where v_i = sup{v : w sum_k Phi(b_ik e^v) <= 1} for b = rows / m,
+    written over the rows.
 
-    The log-gauge is solved in u = -log lambda: it rises at least as fast
-    as the quasi-Young order q, since Phi(t)/t^q is nondecreasing, which
-    bounds the first bracket; it is -inf while every entry sits in the zero
-    set [0, t1] and +inf once one passes t2, so u is confined to
-    [log(t1/max), log(t2/max)].  Each step evaluates Phi over the rows."""
-    t1, t2 = phi.zero_point(), phi.infinity_point()
+    The log-gauge rises in v at least as fast as the quasi-Young order q,
+    since Phi(t)/t^q is nondecreasing, which bounds the first bracket; it is
+    -inf while every entry sits in the zero set [0, t1] and +inf once the
+    row max 1 passes t2, so v is confined to [log t1, log t2].  Each row's
+    max is 1, so the root finder's tolerance is relative to the norm at
+    every scale.  The log-gauge comes from the entropy kind's sorted prefix
+    sums (_entropy_gauge), or else from Phi's own evaluator (_phi_gauge)."""
+    rows /= m[:, None]
+    gauge, data, total = (_entropy_gauge if phi.kind == "entropy" else _phi_gauge)(phi, rows, w)
     with np.errstate(divide="ignore"):
-        u_zero, u_cap = np.log(t1 / m), np.log(t2 / m)
+        lo, hi = np.log([phi.zero_point(), phi.infinity_point()])
+    v = _illinois(gauge, -np.log(w * total + 1.0), lo, hi, phi.quasi_order, *data)
+    return m * np.exp(-v)
 
-    def log_gauge(u, rows):
-        x = rows * np.exp(u)[:, None]
+
+def _phi_gauge(phi: YoungFunction, b: np.ndarray, w: float):
+    """(log_gauge, data, row sums) of the rows b with max 1, evaluating Phi
+    through phi._eval_array at every step, so that a conjugate is exact too
+    (the entropy conjugate in closed form, any other by its Legendre
+    transform)."""
+    t2 = phi.infinity_point()
+
+    def log_gauge(v, b):
+        x = b * np.exp(v)[:, None]
         if math.isfinite(t2):
-            # u <= u_cap, so only rounding can carry an entry past t2
+            # v <= log t2, so only rounding can carry an entry past t2
             np.minimum(x, t2, out=x)
         s = w * phi._eval_array(x).sum(axis=1)
         # Phi >= 0, so a NaN sum has a NaN term, which counts as +inf
         s[np.isnan(s)] = np.inf
         return np.log(s)
 
-    u0 = -np.log(w * rows.sum(axis=1) + m)
-    return _illinois(log_gauge, u0, u_zero, u_cap, phi.quasi_order, rows)
+    return log_gauge, (b,), b.sum(axis=1)
 
 
-def _entropy_level(rows: np.ndarray, m: np.ndarray, w: float) -> np.ndarray:
-    """sup{v : w sum_k Phi(b_ik e^v) <= 1} for the entropy Phi, with
-    b = rows / m written over the rows and sorted ascending in each row, so
-    that the Luxemburg norm of row i is m_i e^{-v_i}.
+def _entropy_gauge(phi: YoungFunction, b: np.ndarray, w: float):
+    """(log_gauge, data, row sums) of the rows b with max 1 for the entropy
+    Phi, read from tables of b sorted ascending in each row, in place.
 
     With j = #{b_k <= e^{-3/2} e^{-v}} the entries below the splice, the
     sum is e^{2v} (P_j - v Q_j) + 2 e^{-3/2} e^v S_j - e^{-3} (n - j) / 2,
     from the prefix sums Q_j of b^2 and P_j of -b^2 log b and the suffix
     sums S_j of b, each a sum of nonnegative terms.  A small entry has
     -log b - v >= 3/2, so P_j - v Q_j >= 3/2 Q_j and nothing cancels.
-    The row max is 1, so the root finder's tolerance is relative to the
-    norm at every scale.  The temporaries scale with the rows passed.
+    The temporaries scale with the rows passed.
     """
-    b = rows
-    b /= m[:, None]
     b.sort(axis=1)
     r, n = b.shape
     sq, ent, top = np.zeros((3, r, n + 1))
@@ -202,8 +208,8 @@ def _entropy_level(rows: np.ndarray, m: np.ndarray, w: float) -> np.ndarray:
         return np.log(w * (small + ENTROPY_SLOPE * ev * top[live, j]
                            - ENTROPY_INTERCEPT * (n - j)))
 
-    v0 = -np.log(w * top[:, 0] + 1.0)
-    return _illinois(log_gauge, v0, -np.inf, np.inf, 1.0, np.arange(r))
+    # the suffix sum S_0 is the row sum
+    return log_gauge, (np.arange(r),), top[:, 0]
 
 
 @dataclass(frozen=True)

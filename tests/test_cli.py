@@ -686,3 +686,20 @@ def test_a_reused_parser_reaches_patched_layer_functions(monkeypatch):
     monkeypatch.setattr(cli, "luxemburg_norm", lambda f, phi, weight: 7.0)
     code, out, _ = _call(argv)
     assert code == 0 and json.loads(out)["results"][0]["value"] == 7.0
+
+
+def test_a_closed_stdout_exits_two_without_a_traceback():
+    """A reader that closed the pipe before the report came (as `| head`
+    may) makes the run a usage-level failure: exit 2, and nothing on stderr
+    from the report write or from the flush at shutdown."""
+    argv = ["young", "evaluate", "--kind", "power:2", "--at", "3"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "orlicztf.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, env=dict(
+                                 os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    assert run.stderr == b""

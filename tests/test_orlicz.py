@@ -318,14 +318,38 @@ def test_entropy_norm_far_out_on_the_tangent_line(w):
     assert abs(got[0] - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("case", ["noise", "stft_row"])
+_ROOT_FOUND_KINDS = sorted(k for k, phi in NORM_KINDS.items()
+                           if young.closed_power_form(phi) is None)
+
+
+@pytest.mark.parametrize("case", ["noise", "stft_row"] + _ROOT_FOUND_KINDS)
 def test_entropy_norm_homogeneity_at_extreme_scales(case):
-    rows, w = _entropy_oracle_cases()[case]
-    ent = YoungFunction.entropy()
-    base = orlicz._luxemburg_batch(rows, w, ent)
+    """||c a|| = c ||a|| to 1e-14 at c = 1e-200 ... 1e200: the entropy
+    oracle cases, and 20 x 64 noise rows (small, for the Legendre-transform
+    gauges of the conjugates) under every kind without a power form.  The
+    root finder's tolerance is relative to the norm because every row is
+    solved scaled to max 1."""
+    if case in NORM_KINDS:
+        rows, w, phi = _noise_rows((20, 64), 21), 0.4, NORM_KINDS[case]
+    else:
+        (rows, w), phi = _entropy_oracle_cases()[case], YoungFunction.entropy()
+    base = orlicz._luxemburg_batch(rows, w, phi)
     for c in (1e-200, 1e-20, 1e20, 1e200):
-        scaled = orlicz._luxemburg_batch(c * rows, w, ent)
+        scaled = orlicz._luxemburg_batch(c * rows, w, phi)
         assert np.max(np.abs(scaled - c * base) / (c * base)) <= 1e-14
+
+
+def test_entropy_prefix_sums_agree_with_the_generic_gauge(monkeypatch):
+    """The one driver with its two evaluators on the same entropy rows: the
+    sorted prefix sums and Phi's own evaluator give norms within 1e-14 of
+    each other at every scale from 1e-200 to 1e200."""
+    rows, ent = _noise_rows((400, 256), 22), YoungFunction.entropy()
+    for c in np.geomspace(1e-200, 1e200, 9):
+        tables = orlicz._luxemburg_batch(c * rows, 0.05, ent)
+        with monkeypatch.context() as m:
+            m.setattr(orlicz, "_entropy_gauge", orlicz._phi_gauge)
+            generic = orlicz._luxemburg_batch(c * rows, 0.05, ent)
+        assert np.max(np.abs(generic - tables) / tables) <= 1e-14
 
 
 def _peak_bytes(fn, *args, **kwargs) -> int:
