@@ -47,7 +47,9 @@ argmax (Phi')^{-&}(t) = sup{s : Phi'(s) <= t} are one operation, the
 generalized inverse of a nondecreasing function (Rao and Ren, ch. I), and
 one solve of the shared root finder in log t answers both
 (_generalized_inverse): one call per essential inverse, between the
-landmarks s = 0 and s >= sup Phi.  The power family and the entropy kind
+landmarks s = 0 and s >= sup Phi, then one Newton step on Phi(t) = s that
+removes the solve's |log t| error factor (for a generic conjugate, one
+more evaluation and one argmax solve).  The power family and the entropy kind
 skip it: the entropy inverse is a Lambert-W closed form below the splice
 value 3 e^{-3} / 2 and the tangent line's inverse above it.  Luxemburg
 norms are solved in the orlicz layer, with the same root finder.
@@ -344,9 +346,18 @@ class YoungFunction:
             out[solve] = _entropy_inverse(s[solve])
         else:
             t1, t2 = self.zero_point(), self.infinity_point()
-            out[solve] = _generalized_inverse(
-                self._eval_array, s[solve], math.log(t1) if t1 > 0 else -math.inf,
+            y = s[solve]
+            t = _generalized_inverse(
+                self._eval_array, y, math.log(t1) if t1 > 0 else -math.inf,
                 math.log(t2) if math.isfinite(t2) else _LOG_LARGEST, self.quasi_order)
+            # the solve stops at 4 eps |log t| relative; one Newton step on
+            # Phi(t) = y closes that gap where it lands inside the same band
+            with np.errstate(all="ignore"):
+                slope = self._deriv_array(t)
+                step = t - (self._eval_array(t) - y) / slope
+                band = _XTOL * np.maximum(1.0, np.abs(np.log(t))) * t
+            good = np.isfinite(slope) & (slope > 0) & (np.abs(step - t) <= band)
+            out[solve] = np.where(good, step, t)
         return out
 
 

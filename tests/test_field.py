@@ -1,12 +1,16 @@
 import itertools
 import json
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicztf as o
+from orlicztf import field
 from conftest import coordinate_stack, gaussian_window, noise_field
 
 
@@ -256,14 +260,53 @@ def _odd_samples_field():
     return o.Field(g, v)
 
 
+def _edge_doubles() -> np.ndarray:
+    """Zeros, +-max, powers of ten and of two with both float neighbours,
+    subnormals, integers around 2^53, 10^16 and 10^17, the layouts' switch
+    points 1e-5, 1e-4, 1e16 and 1e17 with neighbours, and their negatives."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+    tiny = np.random.default_rng(4).integers(1, 2 ** 52, 256, dtype=np.uint64).view(float)
+    ints = np.concatenate([2.0 ** 53 + np.arange(-64, 65), 1e16 + 2.0 * np.arange(-64, 65),
+                           1e17 + 16.0 * np.arange(-64, 65)])
+    v = np.concatenate([[0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308],
+                        tens, twos, switch, tiny, ints])
+    with np.errstate(over="ignore"):
+        v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+    v = v[np.isfinite(v)]
+    return np.concatenate([v, -v])
+
+
+def _edge_values_field():
+    """Every edge double and NaN, +-inf, in both parts, as a 1-d field."""
+    v = np.concatenate([_edge_doubles(), [math.nan, math.inf, -math.inf]])
+    v = v[:v.size // 2 * 2]
+    return o.Field(o.make_grid(v.size, 3.0), _samples_of(v, v[::-1]))
+
+
+def _samples_of(re, im):
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _golden_fields():
     g64 = o.make_grid(64, 8.0)
     yield "d1-noise-64", noise_field(g64, 9)
     yield "d2-phase-64", o.stft(o.make_gaussian_mix(g64, 4), gaussian_window(g64))
     g50 = o.make_grid(50, 5.0)
-    # 2500 rows: two full chunks and a partial one
     yield "d2-phase-50", o.stft(o.make_gaussian_mix(g50, 2), gaussian_window(g50))
+    # 4900 rows: two full chunks and a partial one
+    g70 = o.make_grid(70, 6.0)
+    yield "partial-chunk", o.stft(o.make_gaussian_mix(g70, 7), gaussian_window(g70))
     yield "non-finite", _odd_samples_field()
+    yield "edge-values", _edge_values_field()
+    # the field of the benchmark's --out requests: mostly FFT noise near 1e-29
+    g = o.make_grid()
+    yield "d2-stft-256", o.stft(o.make_gaussian_mix(g, 3), gaussian_window(g))
+    g8 = o.make_grid(8, 6.0, 2)
+    yield "d4-phase-8", o.stft(o.make_gaussian_mix(g8, 5), gaussian_window(g8))
 
 
 @pytest.mark.parametrize("name, f", [pytest.param(name, f, id=name)
@@ -278,8 +321,10 @@ def test_writers_match_per_sample_oracle_bytes(tmp_path, name, f, fmt):
     assert got.read_bytes() == ref.read_bytes()
     if name == "d2-phase-64" and fmt == "csv":
         assert got.read_text().splitlines()[0].endswith(" roles=x,xi")
-    if name == "d2-phase-50":
-        assert f.values.size == 2500
+    if name == "partial-chunk":
+        assert f.values.size > 2 * field._CHUNK and f.values.size % field._CHUNK
+    if name == "d4-phase-8":
+        assert f.grid.roles == ("x", "x", "xi", "xi")
 
 
 def _bits(a):
@@ -302,3 +347,82 @@ def test_non_finite_parts_round_trip_bit_for_bit(tmp_path, fmt):
         back = (o.load_csv if fmt == "csv" else o.load_json)(path)
     assert np.array_equal(_bits(back.values.real), _bits(f.values.real))
     assert np.array_equal(_bits(back.values.imag), _bits(f.values.imag))
+
+
+# -- the decimal kernel against Python's own formatting -------------------------
+
+
+def _kernel_text(x, shortest):
+    cells = field._cells(np.asarray(x, dtype=float), shortest, field._tail(b"\n"))
+    return cells.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def _python_text(x, shortest):
+    """Test oracle: format(v, ".17g"), or json.dumps(v) (repr for finite v)
+    through the C encoder."""
+    x = np.asarray(x, dtype=float).tolist()
+    return json.dumps(x)[1:-1].split(", ") if shortest else [format(v, ".17g") for v in x]
+
+
+def _mismatches(x, shortest):
+    return [(v, a, b) for v, a, b in zip(np.asarray(x).tolist(), _kernel_text(x, shortest),
+                                         _python_text(x, shortest)) if a != b]
+
+
+@pytest.mark.parametrize("shortest", [False, True], ids=["17g", "repr"])
+def test_kernel_matches_python_on_edge_doubles(shortest):
+    x = _edge_doubles()
+    assert len(_kernel_text(x, shortest)) == x.size
+    assert _mismatches(x, shortest) == []
+
+
+@pytest.mark.parametrize("shortest", [False, True], ids=["17g", "repr"])
+def test_kernel_matches_python_on_random_bits_with_few_fallbacks(monkeypatch, shortest):
+    """2e5 seeded random bit patterns (NaNs, infinities and subnormals among
+    them) give Python's text, and fewer than 1% of them reach the per-sample
+    fallback, so the kernel is not Python formatting in disguise."""
+    x = np.random.default_rng(20261020).integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(float)
+    calls = []
+    real_format, real_dumps = format, json.dumps
+
+    def counted_format(v, spec):
+        calls.append(v)
+        return real_format(v, spec)
+
+    def counted_dumps(v):
+        calls.append(v)
+        return real_dumps(v)
+
+    monkeypatch.setattr(field, "format", counted_format, raising=False)
+    monkeypatch.setattr(field, "json", types.SimpleNamespace(dumps=counted_dumps))
+    got = _kernel_text(x, shortest)
+    monkeypatch.undo()
+    assert got == _python_text(x, shortest)
+    assert 0 < len(calls) < 0.01 * x.size
+    assert np.count_nonzero(~np.isfinite(x)) <= len(calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), st.floats())
+def test_kernel_matches_python_on_any_float(a, b):
+    x = np.array([a, b])
+    assert _kernel_text(x, False) == _python_text(x, False)
+    assert _kernel_text(x, True) == _python_text(x, True)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_peak_memory_stays_under_2_mib(tmp_path, fmt):
+    """The writers build one chunk at a time: on the benchmark's N=256 STFT
+    the traced peak stays under 2 MiB, whatever the field's size."""
+    import tracemalloc
+    g = o.make_grid()
+    f = o.stft(o.make_gaussian_mix(g, 3), gaussian_window(g))
+    save = o.save_csv if fmt == "csv" else o.save_json
+    save(f, str(tmp_path / f"warm.{fmt}"))
+    tracemalloc.start()
+    try:
+        save(f, str(tmp_path / f"f.{fmt}"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20

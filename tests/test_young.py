@@ -378,6 +378,14 @@ def test_essential_inverse_matches_bisection(name):
     assert np.max(_rel(got, want)) <= 1e-10
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-100, 1e-20])
+def test_essential_inverse_far_from_one_is_exact(s):
+    """The solve in log t stops at 4 eps |log t| relative, 5.4e-13 at
+    1e-300; the closing Newton step brings tan's inverse to atan."""
+    got = YoungFunction.tan_example().essential_inverse(s)
+    assert abs(got - math.atan(s)) <= 4.0 * math.ulp(math.atan(s))
+
+
 def test_essential_inverse_landmarks():
     tan, cap = YoungFunction.tan_example(), YoungFunction.cap(2.0)
     s = np.array([0.0, 1.0, math.inf, math.nan])
