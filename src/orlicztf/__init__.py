@@ -54,7 +54,6 @@ from .psido import (
     calculi_consistency,
     estimate_operator_norm,
     kernel,
-    reduce_symbol,
     symbol_norm,
 )
 from .tfa import (
@@ -111,7 +110,6 @@ __all__ = [
     "modulation_norm",
     "phase_grid",
     "quantization_change",
-    "reduce_symbol",
     "save_csv",
     "save_json",
     "stft",

@@ -23,7 +23,7 @@ from .field import (
 )
 from .modspace import ModulationSpaceSpec, modulation_norm
 from .tfa import stft
-from .young import YoungFunction
+from .young import _TINY, YoungFunction
 
 _FLOOR = 1e-300
 _M2 = ModulationSpaceSpec(YoungFunction.power(2), YoungFunction.power(2))
@@ -128,7 +128,8 @@ def continuity_probe(f: Field, direction: Field, amplitudes,
 
     For each amplitude eps the row carries |eps g| in the norm of `space`
     (default M^Phi) and |E(f + eps g) - E(f)|; the fitted constant bounds
-    the response by n^2 (1 + |log n|) in that norm.
+    the response by n^2 (1 + |log n|) in that norm, over the rows where that
+    scale is a positive normal number (every row is kept).
     """
     phi = make_gaussian(f.grid, 1.0)
     base = entropy(f, phi).value
@@ -141,8 +142,10 @@ def continuity_probe(f: Field, direction: Field, amplitudes,
         delta = abs(entropy(perturbed, phi).value - base)
         rows.append({"amplitude": float(eps), "space_norm": norm,
                      "delta_entropy": delta})
-        if norm > 0.0:
-            fitted = max(fitted, delta / (norm**2 * (1.0 + abs(math.log(norm)))))
+        # norm**2 raises OverflowError past 1.3e154; from 1e154 on the scale is inf
+        scale = norm**2 * (1.0 + abs(math.log(norm))) if 0.0 < norm < 1e154 else 0.0
+        if _TINY <= scale < math.inf:
+            fitted = max(fitted, delta / scale)
     return {"space": space, "base_entropy": base, "rows": rows,
             "fitted_constant": fitted}
 

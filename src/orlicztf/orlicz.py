@@ -272,12 +272,13 @@ def _first_stage(grid, spec: MixedNormSpec, slab, step: int) -> np.ndarray:
 
     A closed power stage over several slabs adds each slab's row maxima and
     power sums, reduced in the slab's own layout, into its rows: a slab's
-    own rows when axis 0 is kept, else every row.  Every other stage, a
-    single slab (so that a formed field keeps its bits), and a power sum out
-    of the normal range (for which the slabs run again) solve the stage's
-    rows by _luxemburg_batch: |f|, times the weight, of each slab is written
-    straight into them, one contiguous row per batch entry with its reduced
-    axes last, as a transposed copy would hold them, but with no copy."""
+    own rows when axis 0 is kept, else every row; a row whose sum leaves the
+    normal range is summed again, as (a / max)^p, in a second pass.
+    Every other stage, and a single slab (so that a formed field keeps its
+    bits), solve the stage's rows by _luxemburg_batch: |f|, times the
+    weight, of each slab is written straight into them, one contiguous row
+    per batch entry with its reduced axes last, as a transposed copy would
+    hold them, but with no copy."""
     (axes, phi), nd = spec.stages[0], grid.dimension
     keep = [i for i in range(nd) if i not in axes]
     perm = keep + list(axes)
@@ -287,22 +288,34 @@ def _first_stage(grid, spec: MixedNormSpec, slab, step: int) -> np.ndarray:
     weight = None if spec.weight.is_constant_one else spec.weight.evaluate(grid)
     slabs = [slice(i, i + step) for i in range(0, grid.shape[0], step)]
 
-    cp = closed_power_form(phi)
-    if cp is not None and len(slabs) > 1:
-        c, p = cp
-        mx, sums = np.zeros(batch), np.zeros(batch)
+    def moduli():  # (where in the batch, |f| times the weight) of each slab
         for rows in slabs:
             a = np.abs(slab(rows))
             if weight is not None:
                 a *= weight[rows]
-            at = rows if 0 in keep else Ellipsis
+            yield (rows if 0 in keep else Ellipsis), a
+
+    cp = closed_power_form(phi)
+    if cp is not None and len(slabs) > 1:
+        c, p = cp
+        mx, sums = np.zeros(batch), np.zeros(batch)
+        for at, a in moduli():
             mx[at] = np.maximum(mx[at], a.max(axis=axes))
             with np.errstate(over="ignore", under="ignore"):
                 sums[at] += np.power(a, p, out=a).sum(axis=axes)
         with np.errstate(over="ignore", under="ignore"):
             out, lost = _power_norms(mx.reshape(-1), sums.reshape(-1), c, w, p)
-        if not lost.size:
-            return out.reshape(batch)
+        if lost.size:
+            # as in _luxemburg_batch, a sum out of the normal range is taken
+            # again over the row max, in a second pass over the slabs (a row
+            # whose max is 0 divides to NaN and is not read)
+            top, sums = np.expand_dims(mx, axes), np.zeros(batch)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                for at, a in moduli():
+                    sums[at] += np.power(np.divide(a, top[at], out=a), p, out=a).sum(axis=axes)
+                m = mx.reshape(-1)[lost]
+                out[lost] = m * (c * w * sums.reshape(-1)[lost]) ** (1.0 / p)
+        return out.reshape(batch)
 
     buf = np.empty(shape)
     in_field_order = np.transpose(buf, np.argsort(perm))

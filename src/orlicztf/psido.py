@@ -14,6 +14,10 @@ random search over seeded probe signals.  The probes and their domain norms
 depend only on the grid, so they are drawn once (`_probes`) and every kernel
 is applied to all of them in one matmul (`_largest_quotient`); a battery that
 tries many symbols on one grid reuses the probes.
+
+A symbol's own norm (`symbol_norm`) is its modulation norm as a d = 2 field,
+in full on its phase grid: closed form in a Moyal space at any N, else a
+streamed 4-d STFT, refused past N = modspace._MAX_4D_N.
 """
 
 from __future__ import annotations
@@ -23,16 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (
-    Axis,
-    Field,
-    Grid,
-    inverse_fourier_transform,
-    l2_norm,
-    make_gaussian_mix,
-    phase_grid,
-)
-from .modspace import ModulationSpaceSpec, modulation_norm
+from .field import Field, Grid, inverse_fourier_transform, l2_norm, make_gaussian_mix
+from .modspace import _MAX_4D_N, ModulationSpaceSpec, _moyal_factor, modulation_norm
 from .tfa import _quantization, _shifted, _split_phase, quantization_change
 from .young import closed_power_form
 
@@ -82,40 +78,17 @@ def calculi_consistency(a: Field, A1, A2, f: Field) -> dict:
     return {"max_error": err}
 
 
-# -- symbol norms at reduced resolution ----------------------------------------
-
-
-_REDUCED_N = 32
-
-
-def reduce_symbol(a: Field) -> Field:
-    """Restrict a phase field to the N=_REDUCED_N central window.
-
-    The x-axis keeps every (N / _REDUCED_N)-th sample, which is exactly the
-    coarser grid with the same extent; the xi-axis keeps the central
-    _REDUCED_N bins, whose spacing does not depend on N.  The result
-    therefore samples the same underlying function regardless of the
-    original N, so quantities computed from it can be compared across
-    resolutions.
-    """
-    d, base = _split_phase(a)
-    if d != 1:
-        raise ValueError("symbol reduction expects a 1-d base grid")
-    n = base.axes[0].n
-    if n % _REDUCED_N != 0:
-        raise ValueError(f"N must be divisible by {_REDUCED_N}")
-    stride = n // _REDUCED_N
-    lo = n // 2 - _REDUCED_N // 2
-    hi = n // 2 + _REDUCED_N // 2
-    vals = a.values[::stride, lo:hi]
-    small = phase_grid(Grid((Axis(_REDUCED_N, base.axes[0].half_extent),)))
-    return Field(small, vals)
-
-
 def symbol_norm(a: Field, space: ModulationSpaceSpec) -> float:
-    """Modulation norm of a phase-space symbol, computed on the reduced
-    central window (the full object would be four-dimensional)."""
-    return modulation_norm(reduce_symbol(a), space)
+    """modulation_norm(a, space) of a symbol on the phase grid of a 1-d base
+    grid: at any N in a Moyal space (both stages c t^2), else a 4-d STFT whose
+    time grows as N^4 log N, refused past N = _MAX_4D_N."""
+    d, _ = _split_phase(a)
+    if d != 1:
+        raise ValueError("symbol norms expect a 1-d base grid")
+    if max(a.grid.shape) > _MAX_4D_N and _moyal_factor(space) is None:
+        raise ValueError(f"a symbol norm needs N <= {_MAX_4D_N} (its STFT is 4-d) "
+                         f"outside the Moyal spaces (both stages c t^2), which have no limit")
+    return modulation_norm(a, space)
 
 
 def _is_flat_l2(spec: ModulationSpaceSpec) -> bool:
@@ -149,10 +122,11 @@ def estimate_operator_norm(a: Field, A, domain: ModulationSpaceSpec,
     signals normalized in the domain norm.  The probes are drawn, and their
     domain norms taken, once; the kernel reaches all of them in one matmul.
     When symbol_space is given, the report carries the ratio of the bound to
-    the symbol's norm there.
+    the symbol's full norm there, taken (or refused) before any probe.
     """
     K = kernel(a, A)
     base = K.grid
+    sn = None if symbol_space is None else symbol_norm(a, symbol_space)
 
     if _is_flat_l2(domain) and _is_flat_l2(codomain):
         lower = float(np.linalg.svd(K.matrix, compute_uv=False)[0]) * base.weight
@@ -168,8 +142,7 @@ def estimate_operator_norm(a: Field, A, domain: ModulationSpaceSpec,
         "seed": seed,
         "ratio_to_symbol_norm": None,
     }
-    if symbol_space is not None:
-        sn = symbol_norm(a, symbol_space)
+    if sn is not None:
         out["symbol_norm"] = sn
         out["ratio_to_symbol_norm"] = lower / sn if sn > 0 else math.inf
     return out

@@ -633,6 +633,11 @@ def _grid_sup(num, den, lo: float, hi: float, n: int) -> float:
     return float(np.max(r[np.isfinite(a)], initial=0.0))
 
 
+# the smallest radius a near-origin comparison takes: its grids start at
+# 1e-8 and 1e-16, and a radius below them would be read past r
+_MIN_RADIUS = 1e-8
+
+
 def _compare_near_zero(num, den, r: float, forms) -> dict:
     """Is num(t) <= C den(t) on (0, r]?  The one comparison behind the
     doubling, steering, lower-growth, inverse-product and embedding checks.
@@ -647,7 +652,10 @@ def _compare_near_zero(num, den, r: float, forms) -> dict:
     are points where num is inf over a positive den: only the neighbourhood
     of 0 matters, and a caller that cares about such a jump decides it
     from the landmarks.
+    A radius that is not finite and at least _MIN_RADIUS raises ValueError.
     """
+    if not _MIN_RADIUS <= r < math.inf:
+        raise ValueError(f"comparison radius {r:g} is not in [{_MIN_RADIUS:g}, inf)")
     fn, fd = forms
     if fn is not None and fd is not None:
         ok = fn[1] >= fd[1]

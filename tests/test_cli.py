@@ -703,3 +703,33 @@ def test_a_closed_stdout_exits_two_without_a_traceback():
         os.close(write)
     assert run.returncode == 2
     assert run.stderr == b""
+
+
+_OPNORM = ["psido", "opnorm", "--symbol", "mix:5", "--domain", "M2", "--codomain", "M2"]
+_CONTRACT_ARGVS = [
+    ["entropy", "probe", "--input", "gaussian:1", "--amplitudes", "1e-170",
+     "--N", "32", "--L", "6"],
+    ["entropy", "probe", "--input", "gaussian:1", "--amplitudes", "1e-300",
+     "--N", "32", "--L", "6"],
+    *(["young", "classify", "--kind", kind, "--radius", "1e-200"]
+      for kind in ("power:3", "cap:0.25", "entropy")),
+    *([*_OPNORM, "--symbol-space", space, "--N", str(n)]
+      for space in ("M2", "m:power:3:power:1.5", "MPhi") for n in (16, 48, 64, 256)),
+]
+
+
+@pytest.mark.parametrize("argv", _CONTRACT_ARGVS, ids=" ".join)
+def test_argv_keeps_the_exit_contract(argv):
+    """Exit 0, 1 or 2, no traceback, and strict JSON on stdout unless the
+    run is a usage error (2)."""
+    code, out, err = _call(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code != 2:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("n", [16, 48, 64, 256])
+def test_m2_symbol_norm_answers_at_every_n(n):
+    code, out, _ = _call([*_OPNORM, "--symbol-space", "M2", "--N", str(n)])
+    rows = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+    assert code == 0 and rows["symbol_norm"] > 0 and rows["ratio_to_symbol_norm"] > 0

@@ -132,6 +132,18 @@ def test_continuity_probe_amplitude_scaling(grid128):
     assert 0 < r["fitted_constant"] < 100.0
 
 
+@pytest.mark.parametrize("tiny", [1e-170, 1e-300])
+def test_continuity_probe_fits_over_normal_scales_only(tiny):
+    """n^2 underflows at these amplitudes while n > 0; the row is kept and
+    the constant is fitted over the rows whose scale is normal."""
+    g = o.make_grid(32, 6.0)
+    f, direction = gaussian_window(g), o.make_hermite(g, 2)
+    r = o.continuity_probe(f, direction, [0.1, tiny])
+    assert [row["amplitude"] for row in r["rows"]] == [0.1, tiny]
+    assert r["rows"][1]["space_norm"] > 0
+    assert r["fitted_constant"] == o.continuity_probe(f, direction, [0.1])["fitted_constant"]
+
+
 def test_nan_sample_gives_nan_entropy(grid64):
     """A NaN sample spreads NaN over the STFT, so the entropy is NaN rather
     than the entropy of the samples left over."""

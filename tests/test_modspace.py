@@ -377,6 +377,21 @@ def test_d2_modulation_norm_holds_one_slab_at_a_time():
     assert _peak_units(o.modulation_norm, ab, m) <= 0.25
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_d2_power_sums_out_of_range_stream_again(scale):
+    """A power sum that leaves the normal range is taken again over the row
+    max slab by slab: the norm scales out, and the peak stays that of the
+    unscaled norm instead of the real N^4 array of the rows."""
+    g = o.make_grid(24, 4.0, 2)
+    f = o.make_gaussian_mix(g, 3)
+    spec = ModulationSpaceSpec(P3, YoungFunction.power(1.5))
+    big = o.Field(g, scale * f.values)
+    want = o.modulation_norm(f, spec)
+    assert abs(o.modulation_norm(big, spec) / scale - want) <= 1e-14 * want
+    assert _peak_units(o.modulation_norm, big, spec) <= 1.25 * _peak_units(
+        o.modulation_norm, f, spec)
+
+
 def test_d2_joint_entropy_norm_holds_only_its_rows():
     """A first stage without a closed form holds |V| in its rows (half a
     unit) and the entropy gauge's sorted tables, but no complex STFT."""
@@ -410,3 +425,21 @@ def test_factorization_lhs_is_the_modulation_norm(monkeypatch, seed):
     got = o.stft_norm_factorization_check(f1, f2, p1, p1)["lhs"]
     want = math.fsum(np.abs(V4.values).ravel()) * V4.grid.weight
     assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("r", [1e-10, 1e-30, 1e-200])
+def test_near_origin_checks_refuse_radii_below_their_grids(r):
+    """Below 1e-8 the comparison grids would be read past r and Phi would
+    underflow on them; every near-origin check raises, naming 1e-8, rather
+    than give a verdict other than the one at r = 0.5."""
+    pp = YoungFunction.power(1.5)
+    for a, b in ((pp, ENT), (ENT, P2), (ENT, pp), (P2, ENT)):  # the embedding lattice
+        with pytest.raises(ValueError, match="1e-08"):
+            o.check_embedding(a, a, b, b, r)
+    for phi in (YoungFunction.power(3), YoungFunction.cap(0.25), ENT):
+        with pytest.raises(ValueError, match="1e-08"):
+            check_delta2(phi, "local", r)
+        with pytest.raises(ValueError, match="1e-08"):
+            o.check_p_steered(phi, 2.0, r)
+    with pytest.raises(ValueError, match="1e-08"):
+        o.check_pseudo_hypotheses(2.0, 1.5, ENT, ENT, P2, P2, r)

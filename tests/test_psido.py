@@ -5,7 +5,8 @@ import pytest
 
 import orlicztf as o
 from conftest import noise_field, upsample2
-from orlicztf import ModulationSpaceSpec, YoungFunction
+from orlicztf import ModulationSpaceSpec, YoungFunction, psido
+from orlicztf.cli import parse_space
 from orlicztf.field import Axis
 
 
@@ -122,35 +123,36 @@ def test_symbol_needs_a_xi_axis_dual_to_x(grid64):
             call()
 
 
-def test_reduce_symbol_resolution_invariant():
-    a1 = o.make_gaussian_mix(o.phase_grid(o.make_grid(128, 12.0)), 7)
-    a2 = o.make_gaussian_mix(o.phase_grid(o.make_grid(256, 12.0)), 7)
-    r1, r2 = o.reduce_symbol(a1), o.reduce_symbol(a2)
-    assert r1.grid.matches(r2.grid)
-    assert np.max(np.abs(r1.values - r2.values)) < 1e-12
+@pytest.mark.parametrize("space, n", [
+    *((space, n) for space in ("m:power:2:power:2", "m:power:3:power:1.5", "MPhi")
+      for n in (16, 32, 48)),
+    ("m:power:2:power:2", 256),  # a Moyal space has no size limit
+])
+def test_symbol_norm_is_the_full_modulation_norm(space, n):
+    """The symbol is normed in full on its own phase grid, at any even N."""
+    spec = parse_space(space)
+    a = o.make_gaussian_mix(o.phase_grid(o.make_grid(n, 12.0)), 5)
+    assert o.symbol_norm(a, spec) == o.modulation_norm(a, spec)
 
 
-def test_reduce_symbol_requires_divisible_resolution():
-    a = o.make_gaussian_mix(o.phase_grid(o.make_grid(48, 12.0)), 7)
-    with pytest.raises(ValueError):
-        o.reduce_symbol(a)
+def test_symbol_norm_outside_moyal_is_refused_before_any_probe(monkeypatch):
+    """Past the streamed 4-d limit a non-Moyal symbol space is refused, by
+    name of the limit, before the random search draws a probe."""
+    def no_probes(*args):
+        raise AssertionError("probes drawn for a refused request")
+
+    monkeypatch.setattr(psido, "_probes", no_probes)
+    spec = parse_space("m:power:3:power:1.5")
+    a = o.make_gaussian_mix(o.phase_grid(o.make_grid(64, 12.0)), 5)
+    with pytest.raises(ValueError, match="N <= 48.*Moyal spaces"):
+        o.estimate_operator_norm(a, 0.0, spec, spec, trials=2, symbol_space=spec)
 
 
-def test_symbol_norm_uses_reduced_field():
-    spec = ModulationSpaceSpec(YoungFunction.power(2), YoungFunction.power(2))
-    a1 = o.make_gaussian_mix(o.phase_grid(o.make_grid(128, 12.0)), 7)
-    a2 = o.make_gaussian_mix(o.phase_grid(o.make_grid(256, 12.0)), 7)
-    n1, n2 = o.symbol_norm(a1, spec), o.symbol_norm(a2, spec)
-    assert abs(n1 - n2) < 1e-10 * n1
-
-
-def test_symbol_norm_uses_reduced_field_off_the_moyal_path():
-    """The same for M^{3,1.5}, whose norm still takes the STFT."""
-    spec = ModulationSpaceSpec(YoungFunction.power(3), YoungFunction.power(1.5))
-    a1 = o.make_gaussian_mix(o.phase_grid(o.make_grid(128, 12.0)), 7)
-    a2 = o.make_gaussian_mix(o.phase_grid(o.make_grid(256, 12.0)), 7)
-    n1, n2 = o.symbol_norm(a1, spec), o.symbol_norm(a2, spec)
-    assert abs(n1 - n2) < 1e-10 * n1
+def test_symbol_norm_needs_a_1d_base_grid():
+    spec = parse_space("m:power:2:power:2")
+    a = o.make_gaussian_mix(o.phase_grid(o.make_grid(8, 4.0, 2)), 5)
+    with pytest.raises(ValueError, match="1-d base grid"):
+        o.symbol_norm(a, spec)
 
 
 def test_operator_norm_flat_l2_uses_exact_singular_value(grid64):

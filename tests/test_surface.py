@@ -2,11 +2,16 @@
 and every name the package exports exists."""
 
 import ast
+import importlib.util
 import pathlib
 
-import orlicztf
+import numpy as np
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "orlicztf"
+import orlicztf
+from orlicztf import psido
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "orlicztf"
 
 
 def _unused_imports(path: pathlib.Path) -> list:
@@ -67,3 +72,22 @@ def test_each_layer_imports_only_the_layers_below_it():
               if dep not in LAYERS[:i]]
     assert not upward, upward
     assert not _package_imports(SRC / "young.py")
+
+
+def test_the_benchmark_tracer_installs_and_puts_every_original_back():
+    """The benchmark's span tracer (benchmark/spans.py, read here, not
+    changed) wraps layer functions by their names, so a deleted or renamed
+    traced name fails its install; uninstall restores numpy's FFT entry
+    points and the package functions."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "benchmark" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    ffts = {name: getattr(np.fft, name) for name in ("fft", "ifft", "fftn", "ifftn")}
+    symbol_norm = psido.symbol_norm
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert {name: getattr(np.fft, name) for name in ffts} == ffts
+    assert psido.symbol_norm is symbol_norm
