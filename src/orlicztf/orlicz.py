@@ -406,8 +406,12 @@ def verify_holder(triples, trials: int = 1000, seed: int = 42) -> list:
     the pointwise two-variable sum bound (the latter is what conjugate
     pairs satisfy exactly).
     """
+    return _holder_reports(triples, *_random_pair(make_grid(), trials, seed), trials, seed)
+
+
+def _holder_reports(triples, r1, r2, trials: int, seed: int) -> list:
+    """verify_holder's reports on the rows r1 and r2, which it only reads."""
     grid = make_grid()
-    r1, r2 = _random_pair(grid, trials, seed)
     reports = []
     for phi0, phi1, phi2 in triples:
         if _inverse_product_ok(phi0._inverse_array, phi1, phi2):
@@ -427,9 +431,15 @@ def verify_young_convolution(triples, trials: int = 1000, seed: int = 42) -> lis
     all on one draw of the rows: one report per triple.  The supports are
     confined to the middle half of the axis (the rows are masked in place)
     so the circular convolution agrees with the real one."""
+    return _convolution_reports(triples, *_random_pair(make_grid(), trials, seed),
+                                trials, seed)
+
+
+def _convolution_reports(triples, r1, r2, trials: int, seed: int) -> list:
+    """verify_young_convolution's reports on the rows r1 and r2, which it
+    masks in place."""
     grid = make_grid()
     w = grid.weight
-    r1, r2 = _random_pair(grid, trials, seed)
     mask = np.abs(grid.axes[0].points) <= grid.axes[0].half_extent / 2.0
     r1 *= mask
     r2 *= mask

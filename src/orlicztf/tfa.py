@@ -21,13 +21,19 @@ The Wigner family W^A with A = tI evaluates f1(x + t y) conj(f2(x + (t-1) y))
 and transforms in y.  Every t takes the same path: the samples are shifted
 by trigonometric interpolation, one FFT, a phase ramp per shift and one
 inverse FFT, with the Nyquist bin split symmetrically so that lattice shifts
-are exact rolls and real data stays real.  All phases are computed from
-coordinate values, not indices, which keeps them consistent under periodic
-wraparound.
+are exact rolls and real data stays real.
+Every N x N phase factor, the shift ramp and the quantization-change
+multiplier, is exp(i k beta_l) over the DFT frequencies k in FFT order and
+one real beta_l per column (_phases).  Its rows k >= 0 are products of two
+small tables, exp(i S q beta) and exp(i r beta) for k = S q + r with S
+near sqrt(N/2), and its rows -k are their conjugates: about 2 sqrt(N/2)
+exponentials per column, not N, each entry within a few ulps of its
+phase.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -161,16 +167,37 @@ def twisted_convolution(F: Field, G: Field) -> Field:
     return Field(F.grid, out)
 
 
+def _phases(n: int, beta: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """P[k, l] = exp(i k beta[l]) over the n DFT frequencies k in FFT order,
+    with the row k = -n/2 set to `edge`.  The rows k = 0 .. n/2 - 1 come from
+    two small tables: with k = S q + r and S a power of two near sqrt(n/2),
+    exp(i S q beta) times exp(i r beta), written into P one block of S rows
+    at a time, so each column takes n/(2S) + S exponentials, not n.  The
+    rows -k are their conjugates.  Each entry is within a few ulps of the
+    phase k beta[l] of exp."""
+    h = n // 2
+    out = np.empty((n,) + beta.shape, dtype=complex)
+    step = 1 << (h.bit_length() // 2)
+    coarse = np.exp(1j * np.multiply.outer(np.arange(0, h, step), beta))
+    fine = np.exp(1j * np.multiply.outer(np.arange(step), beta))
+    for q, start in enumerate(range(0, h, step)):
+        block = out[start:min(start + step, h)]
+        np.multiply(coarse[q], fine[:len(block)], out=block)
+    out[h] = edge
+    np.conjugate(out[h - 1:0:-1], out=out[h + 1:])
+    return out
+
+
 def _shifted(values: np.ndarray, shifts: np.ndarray, spacing: float) -> np.ndarray:
     """E[j, l] = v_l(x_j + shifts[l]) by trigonometric interpolation along
-    axis 0, where v_l is the 1-d values or its column l (periodic, O(n^2 log n)).
-    The Nyquist bin is split evenly between +n/2 and -n/2, so its ramp is
-    cos(pi s / spacing): lattice shifts are exact and real data stays real."""
+    axis 0, where v_l is the 1-d values or its column l (periodic, O(n^2 log n)):
+    the spectrum times the ramp exp(i k beta_l) of _phases, beta_l =
+    2 pi shifts[l] / (n spacing).  The Nyquist bin is split evenly between
+    +n/2 and -n/2, so its ramp is cos(pi s / spacing): lattice shifts are
+    exact and real data stays real."""
     n = values.shape[0]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    ramp = np.multiply.outer(1j * k, shifts * (2.0 * math.pi / (n * spacing)))
-    np.exp(ramp, out=ramp)
-    ramp[n // 2] = np.cos(shifts * (math.pi / spacing))
+    ramp = _phases(n, shifts * (2.0 * math.pi / (n * spacing)),
+                   np.cos(shifts * (math.pi / spacing)))
     ramp *= np.fft.fft(values, axis=0).reshape(n, -1)
     return np.fft.ifft(ramp, axis=0)
 
@@ -198,21 +225,29 @@ def quantization_change(a: Field, A1, A2) -> Field:
     d, _ = _split_phase(a)
     if t1 == t2:
         return Field(a.grid, a.values.copy())
+    # the multiplier is the product over the axis pairs (u_i, v_i) of
+    # exp(i k beta_l), u_i = k du_i with k the DFT frequency in FFT order
+    # (-n/2 in the Nyquist row, as on the centred grid) and beta_l =
+    # (t1 - t2) du_i v_l: one table of _phases per pair.  In FFT order the
+    # transforms need no centring signs (the phase that the grid's offset
+    # puts on the spectrum, the inverse transform takes off); they and the
+    # product are taken in place, and the multiplier is freed before the
+    # inverse transform (the product is vals * mult: with fused
+    # multiply-adds the operand order of a complex product can move its
+    # last bit)
     axes = tuple(range(2 * d))
-    mesh = a.grid.with_dual_axes(axes).mesh()
-    mult = 1j * (t1 - t2) * sum(mesh[i] * mesh[d + i] for i in range(d))
-    np.exp(mult, out=mult)
-    # centred forward and inverse transforms, with the inner sign passes
-    # dropped: they multiply to 1, as do the constants c and the spacing
-    # scales of a unitary pair; the transforms and products are taken in
-    # place, and the multiplier is freed before the inverse transform (the
-    # product is vals * mult: with fused multiply-adds the operand order of
-    # a complex product can move its last bit)
-    s, _ = _centering_signs(a.grid.shape, axes)
-    vals = a.values * s
+    dual = a.grid.with_dual_axes(axes).axes
+    tables = []
+    for i in range(d):
+        u, v = dual[i], dual[d + i]
+        beta = np.fft.fftfreq(v.n, d=1.0 / v.n) * ((t1 - t2) * u.spacing * v.spacing)
+        table = _phases(u.n, beta, np.exp(-1j * (u.n // 2) * beta))
+        tables.append(table.reshape([u.n if k == i else v.n if k == d + i else 1
+                                     for k in axes]))
+    mult = functools.reduce(np.multiply, tables)
+    vals = a.values.copy()
     np.fft.fftn(vals, out=vals)
     vals *= mult
     del mult
     np.fft.ifftn(vals, out=vals)
-    vals *= s
     return Field(a.grid, vals)

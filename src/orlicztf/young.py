@@ -711,7 +711,8 @@ def check_p_steered(phi: YoungFunction, p: float, radius: float = 0.5) -> dict:
 
     The first branch is `_compare_near_zero` of Phi against t^p, which
     answers a power c t^e by its exponent.  Returns which branch fired;
-    both failing means not steered.
+    both failing means not steered.  The second branch reports the top of
+    the window it found convex as a point t, "window_top".
     """
     if p <= 0 or not math.isfinite(p):
         raise ValueError("steering exponent must be finite and positive")
@@ -724,18 +725,20 @@ def check_p_steered(phi: YoungFunction, p: float, radius: float = 0.5) -> dict:
     if not ratio["bounded"]:
         return {"steered": True, "branch": "limsup_infinite", "p": p, "radius": radius}
 
-    # branch two: Phi(t^{1/p}) midpoint-convex on some neighborhood of zero;
+    # branch two: Phi(u^{1/p}) midpoint-convex on some neighborhood of u = 0;
     # scan dyadically shrinking windows, since "near the origin" only asks
-    # for one of them to work
-    u_top = top ** p
+    # for one of them to work.  The windows are laid out in log u, because
+    # u = top^p underflows once p is large: t = exp(log u / p), and the
+    # midpoint (a + b)/2 is logaddexp(log a, log b) - log 2
+    log_top = p * math.log(top)
     for shrink in range(0, 13):
-        hi = u_top * 4.0 ** (-shrink)
-        us = np.geomspace(hi * 1e-6, hi, 80)
-        a, b = us[:-2], us[2:]
-        mid = 0.5 * (a + b)
-        ga = phi._eval_array(a ** (1.0 / p))
-        gb = phi._eval_array(b ** (1.0 / p))
-        gm = phi._eval_array(mid ** (1.0 / p))
+        log_hi = log_top - shrink * math.log(4.0)
+        lu = np.linspace(log_hi - 6.0 * math.log(10.0), log_hi, 80)
+        la, lb = lu[:-2], lu[2:]
+        lm = np.logaddexp(la, lb) - math.log(2.0)
+        ga = phi._eval_array(np.exp(la / p))
+        gb = phi._eval_array(np.exp(lb / p))
+        gm = phi._eval_array(np.exp(lm / p))
         tol = 1e-9 * (np.abs(ga) + np.abs(gb)) + 1e-300
         if bool(np.all(gm <= 0.5 * (ga + gb) + tol)):
             return {
@@ -743,6 +746,7 @@ def check_p_steered(phi: YoungFunction, p: float, radius: float = 0.5) -> dict:
                 "branch": "young_after_power",
                 "p": p,
                 "radius": radius,
-                "window_top": hi,
+                # in t, where it neither underflows nor overflows
+                "window_top": top * 4.0 ** (-shrink / p),
             }
     return {"steered": False, "branch": None, "p": p, "radius": radius}

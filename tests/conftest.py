@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,28 @@ def upsample2(vals):
     G[n // 2] = 0.5 * F[n // 2]
     G[2 * n - n // 2] = 0.5 * F[n // 2]
     return np.fft.fftshift(np.fft.ifft(G) * 2.0)
+
+
+def direct_shifted(values, shifts, spacing):
+    """Test oracle: the trigonometric shift with its ramp formed as one
+    np.exp over the outer product of the DFT frequencies and the shifts,
+    the Nyquist row cos(pi s / spacing)."""
+    n = values.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ramp = np.exp(1j * np.multiply.outer(k, shifts * (2.0 * math.pi / (n * spacing))))
+    ramp[n // 2] = np.cos(shifts * (math.pi / spacing))
+    return np.fft.ifft(ramp * np.fft.fft(values, axis=0).reshape(n, -1), axis=0)
+
+
+def direct_quantization_change(a, t1, t2):
+    """Test oracle: the centred transform of a symbol times one np.exp of
+    i (t1 - t2) <u, v> over the coordinates of the dual grid, transformed
+    back."""
+    d = a.grid.dimension // 2
+    axes = tuple(range(2 * d))
+    mesh = a.grid.with_dual_axes(axes).mesh()
+    mult = np.exp(1j * (t1 - t2) * sum(mesh[i] * mesh[d + i] for i in range(d)))
+    s = 1.0
+    for i, n in enumerate(a.grid.shape):
+        s = s * ((-1.0) ** np.arange(n)).reshape([n if k == i else 1 for k in axes])
+    return np.fft.ifftn(np.fft.fftn(a.values * s) * mult) * s

@@ -713,6 +713,7 @@ _CONTRACT_ARGVS = [
      "--N", "32", "--L", "6"],
     *(["young", "classify", "--kind", kind, "--radius", "1e-200"]
       for kind in ("power:3", "cap:0.25", "entropy")),
+    ["young", "classify", "--kind", "cap:0.25", "--steer", "2000"],
     *([*_OPNORM, "--symbol-space", space, "--N", str(n)]
       for space in ("M2", "m:power:3:power:1.5", "MPhi") for n in (16, 48, 64, 256)),
 ]
@@ -726,6 +727,16 @@ def test_argv_keeps_the_exit_contract(argv):
     assert code in (0, 1, 2) and "Traceback" not in err
     if code != 2:
         json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("kind", ["cap:0.25", "power:3", "entropy", "tan_example"])
+@pytest.mark.parametrize("steer", ["1000", "2000", "1e4"])
+def test_classify_steers_at_exponents_where_top_to_the_p_underflows(kind, steer):
+    """cap(0.25) reaches the second steering branch, whose windows lie
+    under u = top^p = 0.2475^p, 0 in floating point at these p."""
+    code, out, _ = _call(["young", "classify", "--kind", kind, "--steer", steer])
+    rows = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+    assert code == 0 and rows[f"steered_at_{float(steer)}"] is True
 
 
 @pytest.mark.parametrize("n", [16, 48, 64, 256])

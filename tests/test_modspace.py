@@ -443,3 +443,13 @@ def test_near_origin_checks_refuse_radii_below_their_grids(r):
             o.check_p_steered(phi, 2.0, r)
     with pytest.raises(ValueError, match="1e-08"):
         o.check_pseudo_hypotheses(2.0, 1.5, ENT, ENT, P2, P2, r)
+
+
+def test_hypotheses_with_p_near_one_steer_at_a_large_dual_exponent():
+    """p = 1.001 asks for p'-steering with p' = 1001, where top^p' of
+    cap(0.25) underflows; the steering scan runs in log u and answers."""
+    cap = YoungFunction.cap(0.25)
+    r = o.check_pseudo_hypotheses(1.001, 1.0, cap, cap, ENT, P2)
+    steering = {c["name"]: c["passed"] for c in r["conditions"] if c["name"].startswith("steering")}
+    assert steering == dict.fromkeys(
+        ("steering_Phi1", "steering_Psi1", "steering_Phi2", "steering_Psi2"), True)

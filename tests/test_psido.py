@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import orlicztf as o
-from conftest import noise_field, upsample2
+from conftest import direct_shifted, noise_field, upsample2
 from orlicztf import ModulationSpaceSpec, YoungFunction, psido
 from orlicztf.cli import parse_space
 from orlicztf.field import Axis
@@ -237,3 +237,18 @@ def test_rank_one_and_duality_at_general_t(t):
     lhs = o.inner_product(u, out)
     rhs = (2.0 * math.pi) ** -0.5 * o.inner_product(o.wigner(u, h, t), W)
     assert abs(lhs - rhs) / abs(lhs) < 1e-7
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 342, 512])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_kernel_matches_direct_exponential_oracle(n, t):
+    base = o.make_grid(n, 12.0)
+    a = o.make_gaussian_mix(o.phase_grid(base), 9)
+    z = base.axes[0].points
+    b = o.inverse_fourier_transform(a, axes=(1,)).values
+    S = direct_shifted(b, -t * z, base.axes[0].spacing)
+    j = np.arange(n)[:, None]
+    m = np.arange(n)[None, :]
+    ref = (2.0 * math.pi) ** -0.5 * S[j, (j - m + n // 2) % n]
+    got = o.kernel(a, t).matrix
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

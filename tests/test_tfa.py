@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import orlicztf as o
-from conftest import gaussian_window, noise_field, upsample2
+from conftest import (direct_quantization_change, direct_shifted, gaussian_window,
+                      noise_field, upsample2)
 from orlicztf.field import Axis
-from orlicztf.tfa import _quantization, _shifted
+from orlicztf.tfa import _phases, _quantization, _shifted
 
 
 def test_moyal_isometry(grid64):
@@ -314,3 +315,63 @@ def test_quantization_change_works_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 2.8 * a.values.nbytes
+
+
+@pytest.mark.parametrize("n", [2, 6, 64, 342, 1024])
+def test_phase_tables_match_exp(n):
+    """_phases against np.exp(i k beta) on seeded beta in [-pi, pi], within
+    4 ulps of the phase k beta; its rows -k are exact conjugates of the rows
+    k, and its row -n/2 is the edge row it was given."""
+    rng = np.random.default_rng(n)
+    beta = np.concatenate([rng.uniform(-math.pi, math.pi, 300), [0.0, math.pi, -math.pi, 1e-300]])
+    edge = rng.standard_normal(beta.size) + 0j
+    got = _phases(n, beta, edge)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    phase = np.multiply.outer(k, beta)
+    err = np.abs(got - np.exp(1j * phase))
+    err[n // 2] = 0.0
+    assert np.all(err <= 4 * np.finfo(float).eps * (1.0 + np.abs(phase)))
+    assert np.array_equal(got[n // 2], edge)
+    assert np.array_equal(got[n // 2 + 1:], np.conj(got[n // 2 - 1:0:-1]))
+
+
+_ORACLE_N = [64, 128, 256, 342, 512]
+_ORACLE_T = [0.0, 0.3, 0.5, 0.7, 1.0]
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", _ORACLE_N)
+@pytest.mark.parametrize("t", _ORACLE_T)
+def test_wigner_matches_direct_exponential_oracle(n, t):
+    g = o.make_grid(n, 12.0)
+    f1, f2 = o.make_gaussian_mix(g, 11), o.make_gaussian_mix(g, 12)
+    dx, y = g.axes[0].spacing, g.axes[0].points
+    prod = direct_shifted(f1.values, t * y, dx)
+    prod *= np.conj(direct_shifted(f2.values, (t - 1.0) * y, dx))
+    ref = rolled_centered_fft(prod, (1,)) * dx / math.sqrt(2.0 * math.pi)
+    assert _rel(o.wigner(f1, f2, t).values, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("n", _ORACLE_N)
+@pytest.mark.parametrize("t", _ORACLE_T)
+def test_quantization_change_matches_direct_exponential_oracle(n, t):
+    a = o.make_gaussian_mix(o.phase_grid(o.make_grid(n, 12.0)), 9)
+    for t2 in (0.0, 1.0):
+        if t != t2:
+            ref = direct_quantization_change(a, t, t2)
+            assert _rel(o.quantization_change(a, t, t2).values, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.7, 1.0])
+def test_d2_quantization_change_matches_direct_exponential_oracle(n, t):
+    """d = 2 (a 64^4 symbol would take 256 MiB, so N stops at 32): the
+    multiplier is a product of one table per axis pair."""
+    g = o.make_grid(n, 4.0, 2)
+    a = o.Field(o.phase_grid(g), o.make_gaussian_mix(o.phase_grid(g), 4).values
+                + 0.1 * noise_field(o.phase_grid(g), 5).values)
+    ref = direct_quantization_change(a, t, 0.0)
+    assert _rel(o.quantization_change(a, t, 0.0).values, ref) <= 1e-14

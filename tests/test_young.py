@@ -142,6 +142,57 @@ def test_steering_of_a_function_vanishing_near_zero():
     assert r["steered"] and r["branch"] == "young_after_power"
 
 
+@pytest.mark.parametrize("p", [1000.0, 2000.0, 1e4])
+@pytest.mark.parametrize("kind, branch", [
+    ("cap", "young_after_power"), ("power3", "limsup_infinite"),
+    ("entropy", "limsup_infinite"), ("tan_example", "limsup_infinite")])
+def test_steering_at_exponents_where_top_to_the_p_underflows(kind, branch, p):
+    """top^p is 0 in floating point here (0.2475^1000 for cap(0.25)); the
+    second branch lays its windows out in log u, so it still answers."""
+    phi = YoungFunction.cap(0.25) if kind == "cap" else BUILTINS[kind]
+    r = check_p_steered(phi, p)
+    assert r["steered"] and r["branch"] == branch
+    if branch == "young_after_power":
+        assert 0.0 < r["window_top"] <= 0.2475
+
+
+def _u_space_convex(phi, p, top):
+    """Test oracle: the second steering branch scanned in u itself, as
+    np.geomspace windows under u = top^p, which must be a normal number."""
+    u_top = top ** p
+    assert u_top >= np.finfo(float).tiny
+    for shrink in range(13):
+        hi = u_top * 4.0 ** (-shrink)
+        us = np.geomspace(hi * 1e-6, hi, 80)
+        a, b = us[:-2], us[2:]
+        ga = phi._eval_array(a ** (1.0 / p))
+        gb = phi._eval_array(b ** (1.0 / p))
+        gm = phi._eval_array((0.5 * (a + b)) ** (1.0 / p))
+        if np.all(gm <= 0.5 * (ga + gb) + 1e-9 * (np.abs(ga) + np.abs(gb)) + 1e-300):
+            return True
+    return False
+
+
+def test_steering_scan_in_log_u_keeps_the_u_space_verdicts():
+    """Wherever top^p is a normal number and the first branch is bounded,
+    the log-space scan gives the verdict of the scan in u (every built-in
+    that reaches it is steered there)."""
+    funcs = dict(BUILTINS, cap=YoungFunction.cap(0.25),
+                 entropy_conj=YoungFunction.entropy().conjugate())
+    compared = 0
+    for name, phi in funcs.items():
+        t2 = phi.infinity_point()
+        for radius in (0.1, 0.5):
+            top = min(radius, t2 * 0.99) if math.isfinite(t2) else radius
+            for p in np.geomspace(0.3, 400.0, 15):
+                r = check_p_steered(phi, p, radius)
+                if r["branch"] == "limsup_infinite" or top ** p < np.finfo(float).tiny:
+                    continue
+                assert r["steered"] == _u_space_convex(phi, p, top), (name, radius, p)
+                compared += 1
+    assert compared >= 100
+
+
 @pytest.mark.parametrize("knots, tail", [
     ([(1, 0), (2, 1)], math.inf),
     ([(0, 0), (2, 1), (1, 3)], math.inf),
