@@ -12,7 +12,6 @@ batteries (`verify`) exposed through the `orlicztf` command line (`cli`).
 from .entropy import (
     continuity_probe,
     entropy,
-    family_grid,
     gaussian_family_scan,
     lambda_family_table,
     lieb_bound_check,
@@ -38,7 +37,6 @@ from .modspace import (
     ModulationSpaceSpec,
     check_embedding,
     check_pseudo_hypotheses,
-    lower_growth_check,
     modulation_norm,
     stft_norm_factorization_check,
 )
@@ -46,8 +44,6 @@ from .orlicz import (
     MixedNormSpec,
     luxemburg_norm,
     mixed_norm,
-    verify_holder,
-    verify_young_convolution,
 )
 from .psido import (
     apply,
@@ -89,7 +85,6 @@ __all__ = [
     "continuity_probe",
     "entropy",
     "estimate_operator_norm",
-    "family_grid",
     "gaussian_family_scan",
     "inner_product",
     "inverse_fourier_transform",
@@ -99,7 +94,6 @@ __all__ = [
     "lieb_bound_check",
     "load_csv",
     "load_json",
-    "lower_growth_check",
     "luxemburg_norm",
     "make_gaussian",
     "make_gaussian_mix",
@@ -118,8 +112,6 @@ __all__ = [
     "stft_projection",
     "symbol_norm",
     "twisted_convolution",
-    "verify_holder",
-    "verify_young_convolution",
     "wigner",
 ]
 

@@ -1,4 +1,4 @@
-"""Weighted Luxemburg norms, iterated mixed norms, inequality verifiers.
+"""Weighted Luxemburg norms and iterated mixed norms.
 
 The Luxemburg norm is inf{lambda > 0 : sum_k w_k Phi(|f_k omega_k| / lambda) <= 1}
 with w_k the quadrature weight.  Power-family functions are answered in
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import Field, make_grid
+from .field import Field
 from .weights import Weight
 from .young import (ENTROPY_INTERCEPT, ENTROPY_SLOPE, ENTROPY_SPLICE, _TINY, YoungFunction,
                     _illinois, closed_power_form)
@@ -335,119 +335,3 @@ def luxemburg_norm(f: Field, phi: YoungFunction, omega: Weight | None = None) ->
     stages = ((tuple(range(f.values.ndim)), phi),)
     return mixed_norm(f, MixedNormSpec(stages, Weight.constant_one() if omega is None else omega))
 
-
-# -- inequality verifiers -----------------------------------------------------
-
-
-def _inverse_product_ok(bound, phi1, phi2) -> bool:
-    """phi1^{-&}(s) phi2^{-&}(s) <= bound(s) on a log grid of s in [1e-6, 1e6],
-    where the product is finite: the inverse-product premise of the product
-    inequality (bound = phi0^{-&}) and of the convolution one (s phi0^{-&})."""
-    s = np.geomspace(1e-6, 1e6, 61)
-    i1 = phi1._inverse_array(s)
-    i2 = phi2._inverse_array(s)
-    with np.errstate(invalid="ignore"):
-        bad = i1 * i2 > bound(s) * (1.0 + 1e-9)
-    return not bool(np.any(bad & np.isfinite(i1 * i2)))
-
-
-def _young_sum_ok(phi0, phi1, phi2) -> bool:
-    def tgrid(phi):
-        t2 = phi.infinity_point()
-        top = min(t2 * (1 - 1e-9), 1e4) if math.isfinite(t2) else 1e4
-        return np.geomspace(1e-4, top, 40)
-
-    t1 = tgrid(phi1)
-    t2 = tgrid(phi2)
-    lhs = phi0._eval_array(np.outer(t1, t2))
-    rhs = phi1._eval_array(t1)[:, None] + phi2._eval_array(t2)[None, :]
-    tol = 1e-9 * (1.0 + np.where(np.isfinite(rhs), rhs, 0.0))
-    return bool(np.all((lhs <= rhs + tol) | np.isinf(rhs)))
-
-
-def _random_pair(grid, trials: int, seed: int):
-    """Two seeded trials x N batches of unit-variance complex Gaussian rows,
-    each drawn when it is taken."""
-    rng = np.random.default_rng(seed)
-    n = grid.shape[0]
-    return ((rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n)))
-            / math.sqrt(2.0) for _ in range(2))
-
-
-def _ratio_report(phis, combine, r1, r2, w: float, precondition: str, pre_ok: bool,
-                  trials: int, seed: int) -> dict:
-    """The verifiers' report: max |combine(f1, f2)|_{Phi0} / (|f1|_{Phi1} |f2|_{Phi2})
-    over the rows f1 of r1 and f2 of r2, and whether it is at most 2."""
-    phi0, phi1, phi2 = phis
-    # each modulus is a temporary of its own, so its blocks are solved in
-    # place, not copied; the combined rows are freed once their norms are taken
-    n0 = _luxemburg_batch(np.abs(combine(r1, r2)), w, phi0, overwrite=True)
-    n1 = _luxemburg_batch(np.abs(r1), w, phi1, overwrite=True)
-    n2 = _luxemburg_batch(np.abs(r2), w, phi2, overwrite=True)
-    mr = float(np.max(n0 / (n1 * n2)))
-    return {
-        "max_ratio": mr,
-        "holds": bool(mr <= 2.0),
-        "precondition": precondition,
-        "precondition_ok": pre_ok,
-        "trials": trials,
-        "seed": seed,
-    }
-
-
-def verify_holder(triples, trials: int = 1000, seed: int = 42) -> list:
-    """Empirical check of the product inequality
-
-        |f1 f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2}
-
-    for each (phi0, phi1, phi2) in triples, all on one draw of the rows:
-    one report per triple, after verifying one of the inequality's two
-    sufficient premises on a log grid: the inverse-product comparison, or
-    the pointwise two-variable sum bound (the latter is what conjugate
-    pairs satisfy exactly).
-    """
-    return _holder_reports(triples, *_random_pair(make_grid(), trials, seed), trials, seed)
-
-
-def _holder_reports(triples, r1, r2, trials: int, seed: int) -> list:
-    """verify_holder's reports on the rows r1 and r2, which it only reads."""
-    grid = make_grid()
-    reports = []
-    for phi0, phi1, phi2 in triples:
-        if _inverse_product_ok(phi0._inverse_array, phi1, phi2):
-            pre = "inverse_product"
-        elif _young_sum_ok(phi0, phi1, phi2):
-            pre = "young_sum"
-        else:
-            pre = "none"
-        reports.append(_ratio_report((phi0, phi1, phi2), np.multiply, r1, r2, grid.weight,
-                                     pre, pre != "none", trials, seed))
-    return reports
-
-
-def verify_young_convolution(triples, trials: int = 1000, seed: int = 42) -> list:
-    """Empirical check of |f1 * f2|_{Phi0} <= 2 |f1|_{Phi1} |f2|_{Phi2} for
-    periodic Riemann-sum convolution, for each (phi0, phi1, phi2) in triples,
-    all on one draw of the rows: one report per triple.  The supports are
-    confined to the middle half of the axis (the rows are masked in place)
-    so the circular convolution agrees with the real one."""
-    return _convolution_reports(triples, *_random_pair(make_grid(), trials, seed),
-                                trials, seed)
-
-
-def _convolution_reports(triples, r1, r2, trials: int, seed: int) -> list:
-    """verify_young_convolution's reports on the rows r1 and r2, which it
-    masks in place."""
-    grid = make_grid()
-    w = grid.weight
-    mask = np.abs(grid.axes[0].points) <= grid.axes[0].half_extent / 2.0
-    r1 *= mask
-    r2 *= mask
-
-    def convolve(a, b):
-        return np.fft.ifft(np.fft.fft(a, axis=1) * np.fft.fft(b, axis=1), axis=1) * w
-
-    return [_ratio_report((phi0, phi1, phi2), convolve, r1, r2, w, "inverse_product",
-                          _inverse_product_ok(lambda s: s * phi0._inverse_array(s), phi1, phi2),
-                          trials, seed)
-            for phi0, phi1, phi2 in triples]

@@ -2,8 +2,9 @@
 
 A Young function is a convex nondecreasing Phi: [0, inf] -> [0, inf] with
 Phi(0) = 0 and Phi(inf) = inf; the value inf is allowed at finite arguments.
-Quasi-Young functions of order p0 in (0, 1] (Phi(t) = Phi0(t^p0) for a Young
-Phi0) are supported for evaluation and norms but cannot be conjugated.
+The powers t^p with p in (0, 1) are quasi-Young of order p (Phi(t) =
+Phi0(t^p) for a Young Phi0): supported for evaluation and norms, but they
+cannot be conjugated.  Every other function has order 1.
 
 Built-in kinds:
 
@@ -84,7 +85,6 @@ class YoungFunction:
 
     kind: str
     params: dict = field(default_factory=dict)
-    quasi_order: float = 1.0
     _t1: float = _landmark()
     _t2: float = _landmark()
     _slope0: float = _landmark()
@@ -95,8 +95,6 @@ class YoungFunction:
     _knots: tuple = _landmark()  # a table's knot t, knot values, and piece slopes, tail last
 
     def __post_init__(self):
-        if not (0.0 < self.quasi_order <= 1.0):
-            raise ValueError("quasi_order must lie in (0, 1]")
         k, inf = self.kind, math.inf
         marks = {"_t1": 0.0, "_t2": inf, "_slope0": 0.0, "_slope_end": inf,
                  "_intercept": math.nan, "_top": inf, "_power_form": None, "_knots": None}
@@ -165,14 +163,12 @@ class YoungFunction:
 
     @staticmethod
     def power(p: float) -> "YoungFunction":
-        q = p if p < 1.0 else 1.0
-        return YoungFunction("power", {"p": float(p)}, quasi_order=q)
+        return YoungFunction("power", {"p": float(p)})
 
     @staticmethod
     def power_scaled(p: float) -> "YoungFunction":
         """t^p / p: the power kind with divisor s = p."""
-        q = p if p < 1.0 else 1.0
-        return YoungFunction("power", {"p": float(p), "s": float(p)}, quasi_order=q)
+        return YoungFunction("power", {"p": float(p), "s": float(p)})
 
     @staticmethod
     def cap(a: float = 1.0) -> "YoungFunction":
@@ -214,6 +210,12 @@ class YoungFunction:
     def sup_slope(self) -> float:
         """Limiting slope at the right end (the jump point of the conjugate)."""
         return self._slope_end
+
+    @property
+    def quasi_order(self) -> float:
+        """q in (0, 1] with Phi(t) / t^q nondecreasing: p for a power below 1
+        (a quasi-Young function), 1 for every other function."""
+        return min(self.params["p"], 1.0) if self.kind == "power" else 1.0
 
     # -- evaluation --------------------------------------------------------
 
@@ -710,9 +712,13 @@ def check_p_steered(phi: YoungFunction, p: float, radius: float = 0.5) -> dict:
     t -> Phi(t^{1/p}) is midpoint-convex near the origin.
 
     The first branch is `_compare_near_zero` of Phi against t^p, which
-    answers a power c t^e by its exponent.  Returns which branch fired;
-    both failing means not steered.  The second branch reports the top of
-    the window it found convex as a point t, "window_top".
+    answers a power c t^e by its exponent.  Any other Phi is compared as
+    [Phi > 0] against t^p / Phi, formed in log space: t^p alone overflows
+    past t = 1 and underflows near 0 once p is large, where t^p / Phi
+    leaves the range only where Phi / t^p is 0 or inf to double precision.
+    Returns which branch fired; both failing means not steered.  The
+    second branch reports the top of the window it found convex as a point
+    t, "window_top".
     """
     if p <= 0 or not math.isfinite(p):
         raise ValueError("steering exponent must be finite and positive")
@@ -720,7 +726,13 @@ def check_p_steered(phi: YoungFunction, p: float, radius: float = 0.5) -> dict:
         raise ValueError("steering radius must be finite and positive")
     t2 = phi.infinity_point()
     top = min(radius, t2 * 0.99) if math.isfinite(t2) else radius
-    ratio = _compare_near_zero(phi._eval_array, lambda t: t ** p, top,
+
+    def power_over_phi(t):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(p * np.log(t) - np.log(phi._eval_array(t)))
+
+    # Phi is finite on (0, top], below t2
+    ratio = _compare_near_zero(lambda t: (phi._eval_array(t) > 0) * 1.0, power_over_phi, top,
                                (closed_power_form(phi), (1.0, p)))
     if not ratio["bounded"]:
         return {"steered": True, "branch": "limsup_infinite", "p": p, "radius": radius}

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orlicztf import psido, verify
+from orlicztf import YoungFunction, psido, verify
 from orlicztf.field import make_gaussian_mix, make_grid, phase_grid
 
 CRITERIA = list(verify.CRITERIA)
@@ -54,6 +54,52 @@ def test_holder_young_inequalities_composes_the_two_inequalities():
                                "young": y["details"]["per_triple"], **kw}
     assert [r["name"] for r in (h, y, both)] == [
         "holder_inequality", "young_convolution_inequality", "holder_young_inequalities"]
+
+
+P1, P2 = YoungFunction.power(1), YoungFunction.power(2)
+
+
+def test_inequality_verifier_bounds_a_product_triple():
+    worst, ok, (per, conv) = verify._inequalities([("p1_p2_p2", (P1, P2, P2))], (), 50, 0)
+    assert ok and worst == per["p1_p2_p2"] <= 2.0 and conv == {}
+
+
+def test_inequality_verifier_bounds_a_convolution_triple():
+    worst, ok, (prod, per) = verify._inequalities((), [("p1_p1_p1", (P1, P1, P1))], 50, 0)
+    assert ok and worst == per["p1_p1_p1"] <= 2.0 and prod == {}
+
+
+def test_inequality_verifier_fails_a_triple_meeting_no_premise():
+    """(power 2, power 1, power 1) meets neither premise of either
+    inequality: s^2 > s^(1/2) and s^2 > s s^(1/2) for s > 1, and
+    (t1 t2)^2 > t1 + t2 for large t.  Its ratios are far below 2, so only
+    the premise fails it."""
+    triple = [("p2_p1_p1", (P2, P1, P1))]
+    for products, convolutions in ((triple, ()), ((), triple)):
+        worst, ok, _ = verify._inequalities(products, convolutions, 50, 0)
+        assert worst <= 2.0 and not ok
+
+
+def test_inequality_rows_drawn_once(monkeypatch):
+    """holder_young_inequalities draws its random rows once, for the product
+    triples and the convolution triples both, and each triple's ratio is the
+    one the verifier reports for that triple alone."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args):
+        calls.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    rec = verify.holder_young_inequalities(trials=40, seed=3)
+    assert calls == [(3,)]
+    monkeypatch.undo()
+    for key, triples in (("holder", verify.HOLDER_TRIPLES), ("young", verify.YOUNG_TRIPLES)):
+        for triple in triples:
+            products, convolutions = ([triple], ()) if key == "holder" else ((), [triple])
+            alone = verify._inequalities(products, convolutions, 40, 3)[0]
+            assert repr(rec["details"][key][triple[0]]) == repr(alone)
 
 
 def test_holder_young_inequalities_peak_memory():

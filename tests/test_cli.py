@@ -224,7 +224,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("owner, name, argv", [
     (cli, "modulation_norm", ["norm", "modulation", "--input", "gaussian:1", "--d", "2"]),
-    (o.verify, "verify_holder", ["verify", "holder", "--trials", "10000000"]),
+    (o.verify, "_inequalities", ["verify", "holder", "--trials", "10000000"]),
 ], ids=["modulation-d2", "holder"])
 @pytest.mark.parametrize("message", ["Unable to allocate 64.0 GiB for an array", ""],
                          ids=["numpy", "bare"])
@@ -714,6 +714,9 @@ _CONTRACT_ARGVS = [
     *(["young", "classify", "--kind", kind, "--radius", "1e-200"]
       for kind in ("power:3", "cap:0.25", "entropy")),
     ["young", "classify", "--kind", "cap:0.25", "--steer", "2000"],
+    ["young", "classify", "--kind", "entropy", "--steer", "2000", "--radius", "2"],
+    ["verify", "holder", "--trials", "1"],
+    ["verify", "young-conv", "--trials", "1"],
     *([*_OPNORM, "--symbol-space", space, "--N", str(n)]
       for space in ("M2", "m:power:3:power:1.5", "MPhi") for n in (16, 48, 64, 256)),
 ]

@@ -8,6 +8,7 @@ import pytest
 import orlicztf as o
 from conftest import gaussian_window, noise_field, unit
 from orlicztf import entropy as entropy_of
+from orlicztf.entropy import family_grid
 
 
 def test_standard_gaussian_closed_value(grid256):
@@ -58,9 +59,9 @@ def test_gaussian_family_constant_fit():
 
 
 def test_family_grid_widens_for_flat_gaussians():
-    g = o.family_grid([1.0, 4.0])
+    g = family_grid([1.0, 4.0])
     assert g.axes[0].half_extent == 12.0
-    g2 = o.family_grid([0.0625, 1.0])
+    g2 = family_grid([0.0625, 1.0])
     assert g2.axes[0].half_extent == 48.0
     assert g2.axes[0].n >= 1024
 
@@ -69,7 +70,7 @@ def test_entropy_frees_the_stft_before_the_integrand():
     """The complex STFT is dropped once |V| is taken: on the grid of the
     widest scan member (N=726) the peak is 1.52 units of the STFT, V
     beside |V|, within a bound of 1.6 (2.08 while V lived on)."""
-    g = o.family_grid([0.125, 8])
+    g = family_grid([0.125, 8])
     f, window = o.make_gaussian(g, 0.125), o.make_gaussian(g, 1.0)
     tracemalloc.start()
     try:

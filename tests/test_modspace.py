@@ -9,7 +9,7 @@ import orlicztf as o
 from conftest import gaussian_window, noise_field, unit
 from orlicztf import ModulationSpaceSpec, YoungFunction, check_delta2, tfa
 from orlicztf.field import Axis
-from orlicztf.modspace import inverse_product_check, phase_field_norm
+from orlicztf.modspace import inverse_product_check, lower_growth_check, phase_field_norm
 
 P2 = YoungFunction.power(2)
 ENT = YoungFunction.entropy()
@@ -285,9 +285,9 @@ def test_continuity_hypotheses_rejects_exponent_gap():
 
 
 def test_lower_growth_check_power():
-    r = o.lower_growth_check(YoungFunction.power(3), 3.0, 0.5)
+    r = lower_growth_check(YoungFunction.power(3), 3.0, 0.5)
     assert r["bounded"]
-    r2 = o.lower_growth_check(YoungFunction.power(3), 2.0, 0.5)
+    r2 = lower_growth_check(YoungFunction.power(3), 2.0, 0.5)
     assert not r2["bounded"]
 
 
@@ -296,7 +296,7 @@ def _doubling(phi, r):
 
 
 def _lower_growth(phi, alpha, r):
-    return o.lower_growth_check(phi, alpha, r)["bounded"]
+    return lower_growth_check(phi, alpha, r)["bounded"]
 
 
 def _inverse_product(phi_a, phi_b, beta, r):

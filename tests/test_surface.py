@@ -4,6 +4,7 @@ and every name the package exports exists."""
 import ast
 import importlib.util
 import pathlib
+import re
 
 import numpy as np
 
@@ -39,6 +40,34 @@ def test_every_module_import_is_used():
 def test_every_exported_name_resolves():
     missing = [name for name in orlicztf.__all__ if not hasattr(orlicztf, name)]
     assert not missing, missing
+
+
+def _names_read(path: pathlib.Path) -> set:
+    """The names a Python file reads: bare names, attributes and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_every_exported_name_is_read_outside_its_module():
+    """An exported name earns its place: another package module, the
+    benchmark or the README reads it, not only its own module, the package
+    __init__ and the tests."""
+    modules = {p.stem: _names_read(p) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    outside = set(re.findall(r"\w+", (ROOT / "README.md").read_text())).union(
+        *map(_names_read, (ROOT / "benchmark").glob("*.py")))
+    unread = []
+    for name in orlicztf.__all__:
+        home = getattr(orlicztf, name).__module__.rpartition(".")[2]
+        if name not in outside.union(*(v for k, v in modules.items() if k != home)):
+            unread.append(f"{home}.{name}")
+    assert not unread, unread
 
 
 # the layers of the package docstring, from the ground up

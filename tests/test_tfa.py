@@ -305,7 +305,7 @@ def test_d2_stft_holds_one_array_of_its_size():
 def test_quantization_change_works_in_place():
     """The multiplier is formed, and the transforms and products taken, in
     place, and the multiplier is dropped before the inverse transform: on
-    a 342^2 symbol the peak is 2.57 symbols (bound 2.8; 4.5 when each step
+    a 342^2 symbol the peak is 2.00 symbols (bound 2.8; 4.5 when each step
     made a new array)."""
     a = o.make_gaussian_mix(o.phase_grid(o.make_grid(342, 12.0)), 9)
     tracemalloc.start()

@@ -156,6 +156,54 @@ def test_steering_at_exponents_where_top_to_the_p_underflows(kind, branch, p):
         assert 0.0 < r["window_top"] <= 0.2475
 
 
+@pytest.mark.parametrize("p", [1000.0, 2000.0, 1e4])
+@pytest.mark.parametrize("kind", ["power3", "entropy", "tan_example"])
+def test_steering_at_exponents_where_t_to_the_p_overflows(kind, p):
+    """At radius 2 the first branch's grids reach t = 2, and t = 1.555 for
+    tan_example (t2 = pi/2), where t^p overflows from p = 2000 on; the
+    branch compares t^p / Phi in log space, so no overflow is raised (the
+    suite turns one into an error) and Phi(t)/t^p still blows up near 0.
+    A power is answered by its exponent."""
+    r = check_p_steered(BUILTINS[kind], p, 2.0)
+    assert r["steered"] and r["branch"] == "limsup_infinite"
+
+
+def test_first_steering_branch_keeps_the_direct_verdicts():
+    """Wherever t^p is a normal number on both grids of the first branch,
+    its verdict is that of Phi compared with t^p itself."""
+    funcs = dict(BUILTINS, cap=YoungFunction.cap(0.25),
+                 entropy_conj=YoungFunction.entropy().conjugate(),
+                 log_conj=YoungFunction.log_example().conjugate())
+    tiny = np.finfo(float).tiny
+    compared = 0
+    for name, phi in funcs.items():
+        t2 = phi.infinity_point()
+        for radius in (0.1, 0.5, 2.0):
+            top = min(radius, t2 * 0.99) if math.isfinite(t2) else radius
+            for p in np.geomspace(0.3, 19.0, 12):
+                if not (tiny <= 1e-16 ** p and top ** p < math.inf):
+                    continue
+                direct = young._compare_near_zero(phi._eval_array, lambda t: t ** p, top,
+                                                  (closed_power_form(phi), (1.0, p)))
+                steered = check_p_steered(phi, p, radius)["branch"] == "limsup_infinite"
+                assert steered == (not direct["bounded"]), (name, radius, p)
+                compared += 1
+    assert compared >= 300
+
+
+def test_quasi_order_is_derived_from_the_kind():
+    """p for a power below 1, 1 otherwise; it is not a constructor argument,
+    so a quasi-Young power built by hand cannot be conjugated either."""
+    assert YoungFunction("power", {"p": 0.5}).quasi_order == 0.5
+    assert YoungFunction.power_scaled(0.25).quasi_order == 0.25
+    assert [phi.quasi_order for phi in BUILTINS.values()] == [1.0] * len(BUILTINS)
+    for phi in (YoungFunction("power", {"p": 0.5}), YoungFunction.power(0.5)):
+        with pytest.raises(ValueError, match="quasi-Young"):
+            phi.conjugate()
+    with pytest.raises(TypeError):
+        YoungFunction("log_example", quasi_order=0.5)
+
+
 def _u_space_convex(phi, p, top):
     """Test oracle: the second steering branch scanned in u itself, as
     np.geomspace windows under u = top^p, which must be a normal number."""
